@@ -602,19 +602,21 @@ def _sweep_one(payload):
         for k, v in overrides.items():
             lines.append(f"{k} = {v}")
         cfg = parse_config("\n".join(lines))
-        grid, state0, certificate = _build_problem(cfg)
         code = execute_run(cfg, out_dir)
         with open(os.path.join(out_dir, "verdict.json")) as fh:
             verdict = json.load(fh)
+        # the certificate that execute_run built and wrote, read back exactly
+        with open(os.path.join(out_dir, "certificate.json")) as fh:
+            certificate = json.load(fh)["certificate"]
         summary.update(
             status="ok",
             exit_code=code,
             termination=verdict["termination"]["event"],
-            E0=certificate.E0,
-            C=certificate.C,
-            thm41_certified=certificate.thm41 is not None,
+            E0=certificate["E0"],
+            C=certificate["C"],
+            thm41_certified=certificate["thm41"] is not None,
             thm42_condition=(
-                certificate.thm42.condition_met if certificate.thm42 else False
+                certificate["thm42"]["condition_met"] if certificate["thm42"] else False
             ),
             T_est=(verdict["fit"] or {}).get("T_est"),
             rate_final_mean=(verdict["rate"] or {}).get("final_mean"),
@@ -709,6 +711,15 @@ def selftest_checks(mutate_c: float = 0.0):
     yield "rest_state_equilibrium", worst <= 1e-12, f"max |rhs| {worst:.3e}"
 
     worst_rel = 0.0
+    # the initial profiles of the theorem certificates come from their own
+    # generator, so the parameter draws stay those of the formula audit
+    rng_u0 = np.random.default_rng(20240818)
+    grid_u0 = build_grid(5.0, 256)
+
+    def slope_profile(amp):
+        spec = InitialDataSpec(u_terms=(ProfileTerm("slope_bump", amp, 0.2, 0.0),), decay_tol=1.0)
+        return synthesize(spec, grid_u0).u
+
     for _ in range(1000):
         A = rng.uniform(-0.9, 0.9)
         Om = rng.uniform(0.0, 0.45)
@@ -730,6 +741,26 @@ def selftest_checks(mutate_c: float = 0.0):
             L1 = cert_mod.lemma31_ceiling(u0x, rs, C1, p)
             L2 = crosscheck.lemma31_ceiling_alt(u0x, rs, C1, A, sigma, Om)
             worst_rel = max(worst_rel, abs(L1 - L2) / max(abs(L2), 1e-30))
+        if sigma < 0:
+            u0 = slope_profile(rng_u0.uniform(1.5, 3.0) * C1 / math.sqrt(-sigma))
+            t41 = cert_mod.thm41_certificate(u0, grid_u0, C1, p)
+            if t41 is not None:
+                slope = t41.u0x_at_witness
+                T1 = crosscheck.t1_bound_alt(slope, C1, sigma)
+                T1s = crosscheck.t1_bound_stated_alt(slope, C1, sigma)
+                worst_rel = max(worst_rel, abs(t41.T1_bound - T1) / T1)
+                worst_rel = max(worst_rel, abs(t41.T1_bound_stated - T1s) / T1s)
+        if E0 > 0:
+            M_assumed = rng_u0.uniform(0, 3)
+            pN = PhysParams(A=A, sigma=1.0, mu=0.0, Omega=Om)
+            N1 = cert_mod.thm42_constant_N(E0, M_assumed, pN)
+            N2 = crosscheck.thm42_N_alt(E0, M_assumed, A, Om)
+            worst_rel = max(worst_rel, abs(N1 - N2) / N2)
+            u0 = slope_profile(-rng_u0.uniform(2, 6))
+            t42 = cert_mod.thm42_certificate(u0, grid_u0, N1, E0)
+            if t42.T_bound is not None:
+                T2 = crosscheck.thm42_T_alt(t42.m0, E0, N1)
+                worst_rel = max(worst_rel, abs(t42.T_bound - T2) / T2)
     yield "double_entry_formulas", worst_rel <= 1e-12, f"max rel diff {worst_rel:.3e}"
 
     # synthetic exact reciprocal profile: M = -2/(sigma (T - t)), sigma=-1, T=3

@@ -144,10 +144,22 @@ class RunSettings:
     adaptive: bool = True
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        for name in ("t_end", "tol", "dt_floor", "dt_max", "dt_init"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup threshold must be positive")
+        if not self.dt_floor < self.dt_max:
+            raise ValueError(
+                f"dt_floor must be below dt_max, got {self.dt_floor} >= {self.dt_max}"
+            )
+        if self.diag_stride < 1:
+            raise ValueError(f"diag_stride must be at least 1, got {self.diag_stride}")
+        if self.snapshot_cadence < 0:
+            raise ValueError(
+                f"snapshot_cadence must be nonnegative, got {self.snapshot_cadence}"
+            )
 
 
 @dataclass(frozen=True)

@@ -100,13 +100,22 @@ class TestAdvect:
             advect(np.array([10.0]), rec)
 
     def test_sample_along_recovers_field(self):
+        # frozen u = sin(k x) at mode n/3 with eta zero: u, u_x and rho = 1
+        # sampled along the paths match the closed forms at those off-grid
+        # points, for a single query point and for many
         g = build_grid(10.0, 512)
+        kk = math.pi * (g.n // 3) / g.half_length
         times = np.linspace(0.0, 1.0, 11)
-        rec = synthetic_run(lambda t, x: np.full_like(x, 0.4), g, times)
-        # eta left zero: rho along any path is 1
-        traj = advect(np.array([0.0]), rec)
-        rho = sample_along(traj, rec, "rho")
-        np.testing.assert_allclose(rho, 1.0, atol=1e-10)
+        rec = synthetic_run(lambda t, x: np.sin(kk * x), g, times)
+        rng = np.random.default_rng(5)
+        for n_seeds in (1, 300):
+            traj = advect(rng.uniform(-10.0, 10.0, n_seeds), rec)
+            q = traj.path
+            for which, exact in (("u", np.sin(kk * q)), ("u_x", kk * np.cos(kk * q))):
+                err = np.max(np.abs(sample_along(traj, rec, which) - exact))
+                assert err <= 1e-10, (which, n_seeds, err)
+            assert np.max(np.abs(traj.u_x_along - kk * np.cos(kk * q))) <= 1e-10
+            np.testing.assert_allclose(sample_along(traj, rec, "rho"), 1.0, atol=1e-10)
         with pytest.raises(ValueError):
             sample_along(traj, rec, "vorticity")
 

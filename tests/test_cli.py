@@ -1,5 +1,6 @@
 """Config parsing, artifact round trips and the command-line entry points."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from r2ch import FieldState, build_grid
+from r2ch import certificates as cert_mod
 from r2ch.cli import (
     ConfigError,
     _jsonable,
@@ -246,6 +248,20 @@ class TestCommands:
         assert code == 4
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["run.diag_stride = 0", "run.tol = -1", "run.t_end = inf"]
+    )
+    def test_bad_run_settings_exit_4(self, tmp_path, capsys, line):
+        # unchecked, stride 0 divides by zero, a negative tol breaks the step
+        # controller and an infinite t_end never ends
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in BASIC.splitlines() if not ln.startswith(key)]
+        cfg = self.write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "config error" in err and key.split(".")[1] in err
+
     def test_certify(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         out = str(tmp_path / "c")
@@ -320,6 +336,31 @@ class TestSelftest:
         results = dict(
             (name, ok) for name, ok, _ in selftest_checks(mutate_c=1e-6)
         )
+        assert not results["double_entry_formulas"]
+
+    @pytest.mark.parametrize(
+        "name, attr",
+        [
+            ("thm41_certificate", "T1_bound"),
+            ("thm41_certificate", "T1_bound_stated"),
+            ("thm42_constant_N", None),
+            ("thm42_certificate", "T_bound"),
+        ],
+    )
+    def test_theorem_formula_mutation_detected(self, monkeypatch, name, attr):
+        # a perturbed theorem bound must trip the double-entry comparison
+        original = getattr(cert_mod, name)
+
+        def mutated(*args):
+            out = original(*args)
+            if attr is None:
+                return out * (1.0 + 1e-6)
+            if out is None or getattr(out, attr) is None:
+                return out
+            return dataclasses.replace(out, **{attr: getattr(out, attr) * (1.0 + 1e-6)})
+
+        monkeypatch.setattr(cert_mod, name, mutated)
+        results = {check: ok for check, ok, _ in selftest_checks()}
         assert not results["double_entry_formulas"]
 
     def test_cli_exit_codes(self, capsys):
