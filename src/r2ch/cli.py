@@ -3,31 +3,34 @@
 Subcommands: run | certify | rate | sweep | selftest.
 
 The config format is flat ``key = value`` text with ``#`` comments and dotted
-keys; unknown keys are rejected with line numbers.  All data files are
-written deterministically: fixed column order, 17 significant digits, no
-timestamps.
+keys; ``_KNOWN_KEYS`` gives each key its parser, default and target field.
+``CSV_COLUMNS`` is the one diagnostics.csv schema.  Every bad input ends in
+``main`` with exit code 4.  All data files are written deterministically:
+fixed column order, 17 significant digits, no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import itertools
 import json
 import math
 import os
 import re
 import struct
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import certificates as cert_mod
 from . import crosscheck
-from .characteristics import ExtremumTrack, track_from_rows
+from .characteristics import track_from_rows
 from .evolution import (
     DiagnosticRow,
     FitWindowError,
+    RunRecord,
     RunSettings,
     detect_blowup,
     estimate_T,
@@ -35,8 +38,8 @@ from .evolution import (
     run as run_sim,
 )
 from .model import (
-    DecayViolation,
     FieldState,
+    Grid,
     InitialDataSpec,
     PhysParams,
     ProfileTerm,
@@ -49,28 +52,19 @@ from .spectral import direct_conv_oracle, helmholtz_conv, helmholtz_conv_dx
 
 SNAPSHOT_MAGIC = b"R2CHSNAP"
 SNAPSHOT_VERSION = 1
+_SNAPSHOT_HEADER = "<8sIId"  # magic, version, n, t
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
 EXIT_INVARIANT = 3
 EXIT_CONFIG = 4
 
-CSV_COLUMNS = [
-    "t",
-    "dt",
-    "E",
-    "E_drift_rel",
-    "sup_ux",
-    "inf_ux",
-    "x_at_sup_ux",
-    "x_at_inf_ux",
-    "sup_abs_eta",
-    "min_rho",
-    "m3",
-    "f_sup_abs",
-    "lemma31_ceiling",
-    "boundary_leak",
-]
+# the DiagnosticRow fields without a default (not the extremum-track extras),
+# with the energy drift relative to the first row after E
+_ROW_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(DiagnosticRow) if f.default is dataclasses.MISSING
+)
+CSV_COLUMNS = _ROW_COLUMNS[:3] + ("E_drift_rel",) + _ROW_COLUMNS[3:]
 
 
 class ConfigError(ValueError):
@@ -81,48 +75,66 @@ class ConfigError(ValueError):
 # config parsing
 
 
+_REQUIRED = object()  # default of a key that every config must set
+
+
+def _finite_float(text: str) -> float:
+    # a NaN fails every comparison, so a NaN tolerance switches its check off
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+# key: (parser, default, target).  The value fills the field named by the
+# key's last part in the target dataclass; a None target is read by name.
 _KNOWN_KEYS = {
-    "params.A": (float, None),
-    "params.sigma": (float, None),
-    "params.mu": (float, 0.0),
-    "params.Omega": (float, 0.0),
-    "grid.L": (float, 20.0),
-    "grid.n": (int, 4096),
-    "init.u": (str, "zero"),
-    "init.eta": (str, "zero"),
-    "init.decay_tol": (float, 1e-10),
-    "run.t_end": (float, 1.0),
-    "run.tol": (float, 1e-8),
-    "run.blowup_threshold": (float, 1e3),
-    "run.dt_floor": (float, 1e-12),
-    "run.dt_max": (float, 0.05),
-    "run.dt_init": (float, 1e-3),
-    "run.snapshot_cadence": (int, 1),
-    "run.diag_stride": (int, 10),
-    "fit.m_lo": (float, 20.0),
-    "fit.m_hi": (float, None),  # default: blowup threshold / 2
-    "thm42.m_assumed": (float, None),
-    "output.dir": (str, "out"),
+    "params.A": (_finite_float, _REQUIRED, PhysParams),
+    "params.sigma": (_finite_float, _REQUIRED, PhysParams),
+    "params.mu": (_finite_float, 0.0, PhysParams),
+    "params.Omega": (_finite_float, 0.0, PhysParams),
+    "grid.L": (_finite_float, 20.0, None),
+    "grid.n": (int, 4096, None),
+    "init.u": (str, "zero", None),
+    "init.eta": (str, "zero", None),
+    "init.decay_tol": (_finite_float, 1e-10, InitialDataSpec),
+    "run.t_end": (_finite_float, 1.0, RunSettings),
+    "run.tol": (_finite_float, 1e-8, RunSettings),
+    "run.blowup_threshold": (_finite_float, 1e3, RunSettings),
+    "run.dt_floor": (_finite_float, 1e-12, RunSettings),
+    "run.dt_max": (_finite_float, 0.05, RunSettings),
+    "run.dt_init": (_finite_float, 1e-3, RunSettings),
+    "run.snapshot_cadence": (int, 1, RunSettings),
+    "run.diag_stride": (int, 10, RunSettings),
+    "fit.m_lo": (_finite_float, 20.0, None),
+    "fit.m_hi": (_finite_float, None, None),  # default: blowup threshold / 2
+    "thm42.m_assumed": (_finite_float, None, None),
+    "output.dir": (str, "out", None),
 }
 
-_REQUIRED = ("params.A", "params.sigma")
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     raw: dict
     params: PhysParams
-    grid_L: float
-    grid_n: int
+    grid: Grid
     init: InitialDataSpec
     settings: RunSettings
     fit_window: tuple[float, float]
     m_assumed: float | None
     out_dir: str
-    sweep_lists: dict = field(default_factory=dict)
+    sweep_lists: dict = dataclasses.field(default_factory=dict)
 
 
 _TERM_RE = re.compile(r"^\s*(\w+)\s*\(([^()]*)\)\s*$")
+
+
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    """Split one ``key = value`` item; ``where`` locates it in the error."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item.strip()!r}")
+    key, value = item.split("=", 1)
+    return key.strip(), value.strip()
 
 
 def _parse_profile(expr: str, for_eta: bool) -> tuple[tuple[ProfileTerm, ...], bool]:
@@ -139,19 +151,12 @@ def _parse_profile(expr: str, for_eta: bool) -> tuple[tuple[ProfileTerm, ...], b
         if not m:
             raise ConfigError(f"cannot parse profile term {part.strip()!r}")
         kind, body = m.group(1), m.group(2)
-        kv = {}
-        for item in body.split(","):
-            if not item.strip():
-                continue
-            if "=" not in item:
-                raise ConfigError(f"malformed parameter {item.strip()!r} in {part.strip()!r}")
-            k, v = item.split("=", 1)
-            try:
-                kv[k.strip()] = float(v)
-            except ValueError as exc:
-                raise ConfigError(f"bad number {v.strip()!r} in {part.strip()!r}") from exc
         amp_key = "b" if kind == "eta_bump" else "a"
         try:
+            kv = {}
+            for item in _split_top_level(body):
+                k, v = _key_value(item, "parameter")
+                kv[k] = float(v)
             term = ProfileTerm(
                 kind=kind,
                 amp=kv.pop(amp_key),
@@ -161,73 +166,65 @@ def _parse_profile(expr: str, for_eta: bool) -> tuple[tuple[ProfileTerm, ...], b
         except KeyError as exc:
             raise ConfigError(f"profile {kind} missing parameter {exc.args[0]}") from exc
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{exc} in {part.strip()!r}") from exc
         if kv:
             raise ConfigError(f"unknown profile parameters {sorted(kv)} in {part.strip()!r}")
         terms.append(term)
     return tuple(terms), False
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate the flat key = value config format."""
+def _construct(cls, parsed: dict, **derived):
+    """cls(**the parsed values targeted at cls, **derived), as a ConfigError on failure."""
+    fields = {
+        key.rsplit(".", 1)[1]: parsed[key]
+        for key, (_, _, target) in _KNOWN_KEYS.items()
+        if target is cls
+    }
+    try:
+        return cls(**fields, **derived)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse and validate the flat key = value config format; ``overrides``
+    (key -> value text, one sweep point) replace values of the text."""
     values: dict[str, str] = {}
     sweep_lists: dict[str, list[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, value = stripped.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key.startswith("sweep."):
-            base = key[len("sweep."):]
-            if base not in _KNOWN_KEYS:
-                raise ConfigError(f"line {lineno}: unknown sweep key {base!r}")
-            sweep_lists[base] = _split_top_level(value)
-            continue
-        if key not in _KNOWN_KEYS:
+        key, value = _key_value(stripped, f"line {lineno}")
+        base = key.removeprefix("sweep.")
+        if base not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if base != key:
+            sweep_lists[base] = _split_top_level(value)
+        elif key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        else:
+            values[key] = value
+    for key, value in (overrides or {}).items():
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown override key {key!r}")
         values[key] = value
 
-    for key in _REQUIRED:
-        if key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-
     parsed: dict = {}
-    for key, (typ, default) in _KNOWN_KEYS.items():
-        if key in values:
-            try:
-                parsed[key] = typ(values[key])
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: cannot parse {values[key]!r} as {typ.__name__}") from exc
-        else:
+    for key, (parse, default, _) in _KNOWN_KEYS.items():
+        if key not in values:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
             parsed[key] = default
+            continue
+        try:
+            parsed[key] = parse(values[key])
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
 
-    try:
-        params = PhysParams(
-            A=parsed["params.A"],
-            sigma=parsed["params.sigma"],
-            mu=parsed["params.mu"],
-            Omega=parsed["params.Omega"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    params = _construct(PhysParams, parsed)
     u_terms, _ = _parse_profile(parsed["init.u"], for_eta=False)
     eta_terms, eta_zero = _parse_profile(parsed["init.eta"], for_eta=True)
-    try:
-        init = InitialDataSpec(
-            u_terms=u_terms,
-            eta_terms=eta_terms,
-            eta_zero=eta_zero,
-            decay_tol=parsed["init.decay_tol"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     G = parsed["run.blowup_threshold"]
     m_lo = parsed["fit.m_lo"]
     m_hi = parsed["fit.m_hi"] if parsed["fit.m_hi"] is not None else G / 2.0
@@ -236,27 +233,15 @@ def parse_config(text: str) -> RunConfig:
             f"fit window must satisfy blowup_threshold > m_hi > m_lo > 0, "
             f"got G={G}, m_hi={m_hi}, m_lo={m_lo}"
         )
-    try:
-        settings = RunSettings(
-            t_end=parsed["run.t_end"],
-            tol=parsed["run.tol"],
-            blowup_threshold=G,
-            dt_floor=parsed["run.dt_floor"],
-            dt_max=parsed["run.dt_max"],
-            dt_init=parsed["run.dt_init"],
-            snapshot_cadence=parsed["run.snapshot_cadence"],
-            diag_stride=parsed["run.diag_stride"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     return RunConfig(
         raw=parsed,
         params=params,
-        grid_L=parsed["grid.L"],
-        grid_n=parsed["grid.n"],
-        init=init,
-        settings=settings,
+        grid=_construct(build_grid, parsed, half_length=parsed["grid.L"], n=parsed["grid.n"]),
+        init=_construct(
+            InitialDataSpec, parsed, u_terms=u_terms, eta_terms=eta_terms, eta_zero=eta_zero
+        ),
+        # every accepted step with |u_x| above the fit window's floor gets a row
+        settings=_construct(RunSettings, parsed, dense_diag_above=m_lo),
         fit_window=(m_lo, m_hi),
         m_assumed=parsed["thm42.m_assumed"],
         out_dir=parsed["output.dir"],
@@ -265,21 +250,20 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _split_top_level(value: str) -> list[str]:
-    """Split a comma-separated list, ignoring commas inside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in value:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur).strip())
-    return [v for v in out if v]
+    """Split a comma-separated list, ignoring commas inside (unnested) parentheses."""
+    return [v.strip() for v in re.split(r",(?![^(]*\))", value) if v.strip()]
+
+
+def _read_seed_list(path: str) -> list[dict[str, str]]:
+    """One override set per non-blank line: ``key = value; key = value``."""
+    sets = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                items = _split_top_level(line.replace(";", ","))
+                sets.append(dict(_key_value(item, f"{path}: line {lineno}") for item in items))
+    return sets
 
 
 # ----------------------------------------------------------------------------
@@ -294,77 +278,43 @@ def write_diagnostics_csv(path: str, rows: list[DiagnosticRow]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     E0 = rows[0].E if rows else 0.0
     for r in rows:
-        drift = (r.E - E0) / max(E0, 1e-14)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.t,
-                    r.dt,
-                    r.E,
-                    drift,
-                    r.sup_ux,
-                    r.inf_ux,
-                    r.x_at_sup_ux,
-                    r.x_at_inf_ux,
-                    r.sup_abs_eta,
-                    r.min_rho,
-                    r.m3,
-                    r.f_sup_abs,
-                    r.lemma31_ceiling,
-                    r.boundary_leak,
-                )
-            )
-        )
+        values = {**vars(r), "E_drift_rel": (r.E - E0) / max(E0, 1e-14)}
+        lines.append(",".join(_fmt(values[c]) for c in CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_diagnostics_csv(path: str) -> list[DiagnosticRow]:
+    """The rows of a diagnostics.csv; a damaged line raises ConfigError."""
+    rows = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != CSV_COLUMNS:
+        if fh.readline().strip().split(",") != list(CSV_COLUMNS):
             raise ConfigError(f"{path}: unexpected CSV columns")
-        rows = []
-        for line in fh:
-            vals = dict(zip(header, (float(v) for v in line.strip().split(","))))
-            rows.append(
-                DiagnosticRow(
-                    t=vals["t"],
-                    dt=vals["dt"],
-                    E=vals["E"],
-                    sup_ux=vals["sup_ux"],
-                    inf_ux=vals["inf_ux"],
-                    x_at_sup_ux=vals["x_at_sup_ux"],
-                    x_at_inf_ux=vals["x_at_inf_ux"],
-                    sup_abs_eta=vals["sup_abs_eta"],
-                    min_rho=vals["min_rho"],
-                    m3=vals["m3"],
-                    f_sup_abs=vals["f_sup_abs"],
-                    lemma31_ceiling=vals["lemma31_ceiling"],
-                    boundary_leak=vals["boundary_leak"],
-                )
-            )
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                values = dict(zip(CSV_COLUMNS, map(float, line.strip().split(",")), strict=True))
+            except ValueError as exc:  # a field that is no number, or too few or many
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            del values["E_drift_rel"]
+            rows.append(DiagnosticRow(**values))
     return rows
 
 
 def write_snapshot(path: str, state: FieldState) -> None:
     n = state.u.size
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sII", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, n))
-        fh.write(struct.pack("<d", state.t))
+        fh.write(struct.pack(_SNAPSHOT_HEADER, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, n, state.t))
         fh.write(state.u.astype("<f8").tobytes())
         fh.write(state.eta.astype("<f8").tobytes())
 
 
 def read_snapshot(path: str) -> FieldState:
     with open(path, "rb") as fh:
-        magic, version, n = struct.unpack("<8sII", fh.read(16))
+        magic, version, n, t = struct.unpack(_SNAPSHOT_HEADER, fh.read(24))
         if magic != SNAPSHOT_MAGIC:
             raise ConfigError(f"{path}: bad snapshot magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"{path}: unsupported snapshot version {version}")
-        (t,) = struct.unpack("<d", fh.read(8))
         u = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
         eta = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
     return FieldState(t=t, u=u, eta=eta)
@@ -394,40 +344,40 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def certificate_payload(cfg: RunConfig, certificate) -> dict:
-    return {
-        "inputs": {
-            "A": cfg.params.A,
-            "sigma": cfg.params.sigma,
-            "mu": cfg.params.mu,
-            "Omega": cfg.params.Omega,
-            "grid_L": cfg.grid_L,
-            "grid_n": cfg.grid_n,
-            "init_u": cfg.raw["init.u"],
-            "init_eta": cfg.raw["init.eta"],
-            "M_assumed": cfg.m_assumed,
-        },
-        "certificate": certificate,
-    }
+def _rate_payload(rate: cert_mod.RateCheck | None) -> dict | None:
+    """The scalar results of a rate check, without its sample arrays."""
+    if rate is None:
+        return None
+    return {k: getattr(rate, k) for k in ("final_mean", "target", "rel_error", "validated")}
 
 
 # ----------------------------------------------------------------------------
 # commands
 
 
-def _build_problem(cfg: RunConfig):
-    grid = build_grid(cfg.grid_L, cfg.grid_n)
-    state0 = synthesize(cfg.init, grid)
-    certificate = cert_mod.build_certificate(state0, cfg.params, grid, cfg.m_assumed)
-    return grid, state0, certificate
+def _certify(cfg: RunConfig, out_dir: str):
+    """Build the initial state and write its certificate.json into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    state0 = synthesize(cfg.init, cfg.grid)
+    certificate = cert_mod.build_certificate(state0, cfg.params, cfg.grid, cfg.m_assumed)
+    inputs = {
+        **dataclasses.asdict(cfg.params),
+        "grid_L": cfg.grid.half_length,
+        "grid_n": cfg.grid.n,
+        "init_u": cfg.raw["init.u"],
+        "init_eta": cfg.raw["init.eta"],
+        "M_assumed": cfg.m_assumed,
+    }
+    payload = {"inputs": inputs, "certificate": certificate}
+    write_json(os.path.join(out_dir, "certificate.json"), payload)
+    return state0, certificate
 
 
 def execute_run(cfg: RunConfig, out_dir: str) -> int:
     """Run one configuration and write all artifacts into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    grid, state0, certificate = _build_problem(cfg)
+    state0, certificate = _certify(cfg, out_dir)
     ceiling = certificate.lemma31_ceiling if certificate.lemma31_ceiling is not None else math.nan
-    rec = run_sim(state0, cfg.params, grid, cfg.settings, lemma31_ceiling=ceiling)
+    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, lemma31_ceiling=ceiling)
 
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows)
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -435,10 +385,6 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
         os.makedirs(snap_dir, exist_ok=True)
         for i, snap in enumerate(rec.snapshots):
             write_snapshot(os.path.join(snap_dir, f"snap_{i:06d}.bin"), snap)
-    write_json(
-        os.path.join(out_dir, "certificate.json"),
-        certificate_payload(cfg, certificate),
-    )
 
     regime = classify_regime(cfg.params)
     event = detect_blowup(rec.rows, regime, cfg.settings.blowup_threshold)
@@ -452,20 +398,20 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
 
     fit = None
     rate = None
-    blew_up = rec.termination.event == "blowup_detected"
-    if blew_up:
+    if rec.termination.event == "blowup_detected":
         branch = "inf" if cfg.params.sigma > 0 else "sup"
         try:
             fit = estimate_T(rec.rows, cfg.params, branch, cfg.fit_window)
-        except FitWindowError:
-            fit = None
-        if fit is not None and fit.reliable and cfg.params.sigma < 0:
-            try:
-                rate = cert_mod.rate_check(
-                    track_sup, fit.T_est, cfg.params, window=cfg.fit_window
-                )
-            except ValueError:
-                rate = None
+        except FitWindowError as exc:
+            fit = {"error": str(exc)}
+        else:
+            if fit.reliable and cfg.params.sigma < 0:
+                try:
+                    rate = cert_mod.rate_check(
+                        track_sup, fit.T_est, cfg.params, window=cfg.fit_window
+                    )
+                except ValueError:
+                    rate = None
 
     thm42_validation = None
     if cfg.m_assumed is not None:
@@ -493,78 +439,39 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
         "monitor_violations": violations,
         "boundary_leak_max": max(r.boundary_leak for r in rec.rows),
         "fit": fit,
-        "rate": (
-            {
-                "final_mean": rate.final_mean,
-                "target": rate.target,
-                "rel_error": rate.rel_error,
-                "validated": rate.validated,
-            }
-            if rate is not None
-            else None
-        ),
+        "rate": _rate_payload(rate),
         "thm42_validation": thm42_validation,
     }
     write_json(os.path.join(out_dir, "verdict.json"), verdict)
     return exit_code
 
 
+def _load_config(args) -> RunConfig:
+    with open(args.config) as fh:
+        return parse_config(fh.read())
+
+
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args)
-        return execute_run(cfg, args.out or cfg.out_dir)
-    except (ConfigError, DecayViolation, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
+    return execute_run(cfg, args.out or cfg.out_dir)
 
 
 def cmd_certify(args) -> int:
-    try:
-        cfg = _load_config(args)
-        out_dir = args.out or cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
-        _, _, certificate = _build_problem(cfg)
-        write_json(
-            os.path.join(out_dir, "certificate.json"),
-            certificate_payload(cfg, certificate),
-        )
-        return EXIT_OK
-    except (ConfigError, DecayViolation, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
+    _certify(cfg, args.out or cfg.out_dir)
+    return EXIT_OK
 
 
 def cmd_rate(args) -> int:
     """Breaking-time extrapolation and rate product from a completed run."""
-    try:
-        cfg = _load_config(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     out_dir = args.out or cfg.out_dir
-    csv_path = os.path.join(out_dir, "diagnostics.csv")
-    if not os.path.exists(csv_path):
-        print(f"config error: no diagnostics at {csv_path}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = read_diagnostics_csv(csv_path)
+    rows = read_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"))
     branch = "inf" if cfg.params.sigma > 0 else "sup"
-    try:
-        fit = estimate_T(rows, cfg.params, branch, cfg.fit_window)
-    except FitWindowError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    payload = {"fit": fit, "rate": None}
-    t = np.array([r.t for r in rows])
-    M = np.array([r.sup_ux if branch == "sup" else r.inf_ux for r in rows])
-    track = ExtremumTrack(
-        branch=branch,
-        t=t,
-        xi=np.array([r.x_at_sup_ux if branch == "sup" else r.x_at_inf_ux for r in rows]),
-        M=M,
-        gamma=np.full_like(t, math.nan),
-        f_along=np.full_like(t, math.nan),
-    )
+    fit = estimate_T(rows, cfg.params, branch, cfg.fit_window)
+    rate = None
     if fit.reliable:
+        track = track_from_rows(RunRecord(cfg.params, cfg.grid, cfg.settings, rows=rows), branch)
         rate = cert_mod.rate_check(
             track,
             fit.T_est,
@@ -572,13 +479,7 @@ def cmd_rate(args) -> int:
             window=cfg.fit_window,
             allow_unvalidated=cfg.params.sigma >= 0,
         )
-        payload["rate"] = {
-            "final_mean": rate.final_mean,
-            "target": rate.target,
-            "rel_error": rate.rel_error,
-            "validated": rate.validated,
-        }
-    write_json(os.path.join(out_dir, "rate.json"), payload)
+    write_json(os.path.join(out_dir, "rate.json"), {"fit": fit, "rate": _rate_payload(rate)})
     print(f"T_est = {fit.T_est!r}  slope = {fit.slope_est!r}  reliable = {fit.reliable}")
     return EXIT_OK
 
@@ -588,21 +489,7 @@ def _sweep_one(payload):
     text, overrides, out_dir = payload
     summary = dict(overrides)
     try:
-        lines = [
-            line
-            for line in text.splitlines()
-            if not any(
-                line.split("#", 1)[0].strip().startswith(k.strip() + " ")
-                or line.split("#", 1)[0].strip().startswith(k.strip() + "=")
-                for k in overrides
-            )
-            and not line.split("#", 1)[0].strip().startswith("sweep.")
-            and not line.split("#", 1)[0].strip().startswith("output.dir")
-        ]
-        for k, v in overrides.items():
-            lines.append(f"{k} = {v}")
-        cfg = parse_config("\n".join(lines))
-        code = execute_run(cfg, out_dir)
+        code = execute_run(parse_config(text, overrides), out_dir)
         with open(os.path.join(out_dir, "verdict.json")) as fh:
             verdict = json.load(fh)
         # the certificate that execute_run built and wrote, read back exactly
@@ -627,35 +514,17 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-        cfg = parse_config(text)
-    except (OSError, ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with open(args.config) as fh:
+        text = fh.read()
+    cfg = parse_config(text)
 
-    override_sets: list[dict] = [{}]
-    for key, options in cfg.sweep_lists.items():
-        override_sets = [
-            {**base, key: opt} for base in override_sets for opt in options
-        ]
+    # the cross product of the sweep lists and the seed-list lines
+    axes = [[{key: opt} for opt in options] for key, options in cfg.sweep_lists.items()]
     if args.seed_list:
-        extra = []
-        with open(args.seed_list) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                ov = {}
-                for item in _split_top_level(line.replace(";", ",")):
-                    k, v = item.split("=", 1)
-                    ov[k.strip()] = v.strip()
-                extra.append(ov)
-        if override_sets == [{}]:
-            override_sets = extra
-        else:
-            override_sets = [{**a, **b} for a in override_sets for b in extra]
+        axes.append(_read_seed_list(args.seed_list))
+    override_sets = [
+        {k: v for ov in combo for k, v in ov.items()} for combo in itertools.product(*axes)
+    ]
 
     out_root = args.out or cfg.out_dir
     os.makedirs(out_root, exist_ok=True)
@@ -689,14 +558,11 @@ def selftest_checks(mutate_c: float = 0.0):
 
     grid = build_grid(20.0, 2048)
     g = np.exp(-((grid.x - 1.0) / 2.0) ** 2)
-    a = helmholtz_conv(g, grid)
-    b = direct_conv_oracle(g, grid, "p")
-    err_p = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-    yield "kernel_oracle_p", err_p <= 1e-8, f"rel err {err_p:.3e}"
-    c = helmholtz_conv_dx(g, grid)
-    d = direct_conv_oracle(g, grid, "dxp")
-    err_d = float(np.max(np.abs(c - d)) / np.max(np.abs(d)))
-    yield "kernel_oracle_dxp", err_d <= 1e-8, f"rel err {err_d:.3e}"
+    for kind, conv in (("p", helmholtz_conv), ("dxp", helmholtz_conv_dx)):
+        a = conv(g, grid)
+        b = direct_conv_oracle(g, grid, kind)
+        err = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+        yield f"kernel_oracle_{kind}", err <= 1e-8, f"rel err {err:.3e}"
 
     worst = 0.0
     for _ in range(20):
@@ -790,15 +656,6 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _load_config(args) -> RunConfig:
-    try:
-        with open(args.config) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-    return parse_config(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="r2ch",
@@ -811,18 +668,15 @@ def main(argv=None) -> int:
         ("run", cmd_run),
         ("certify", cmd_certify),
         ("rate", cmd_rate),
+        ("sweep", cmd_sweep),
     ):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("sweep")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
+    # sp is the sweep parser
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed-list", default=None)
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("selftest")
     sp.add_argument(
@@ -834,7 +688,12 @@ def main(argv=None) -> int:
     sp.set_defaults(fn=cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        # ConfigError, DecayViolation and FitWindowError are ValueErrors
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

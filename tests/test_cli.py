@@ -38,12 +38,27 @@ run.t_end = 0.05
 run.dt_max = 0.01
 """
 
+# the steep-slope breaking problem of criterion 10
+STEEP = """\
+params.A = 0.5
+params.sigma = -1
+params.Omega = 0.1
+grid.L = 5
+grid.n = 16384
+init.u = slope_bump(a=9.0, w=0.1)
+run.t_end = 0.5
+run.blowup_threshold = 50
+run.dt_max = 0.01
+run.snapshot_cadence = 0
+run.diag_stride = 2
+"""
+
 
 class TestParseConfig:
     def test_basic(self):
         cfg = parse_config(BASIC)
         assert cfg.params.sigma == 1.0
-        assert cfg.grid_n == 256
+        assert cfg.grid.n == 256
         assert cfg.init.u_terms[0].kind == "gaussian_bump"
         assert cfg.init.eta_terms[0].center == 1.0
         assert cfg.settings.t_end == 0.05
@@ -148,11 +163,31 @@ class TestArtifacts:
         path = str(tmp_path / "d.csv")
         rows = sample_rows()
         write_diagnostics_csv(path, rows)
+        with open(path) as fh:
+            assert fh.readline() == (
+                "t,dt,E,E_drift_rel,sup_ux,inf_ux,x_at_sup_ux,x_at_inf_ux,"
+                "sup_abs_eta,min_rho,m3,f_sup_abs,lemma31_ceiling,boundary_leak\n"
+            )
         back = read_diagnostics_csv(path)
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
             assert a.t == b.t and a.E == b.E and a.sup_ux == b.sup_ux
             assert math.isnan(b.lemma31_ceiling)
+
+    @pytest.mark.parametrize("damage", ["not a number", "one field short"])
+    def test_csv_damaged_line(self, tmp_path, damage):
+        path = tmp_path / "d.csv"
+        write_diagnostics_csv(str(path), sample_rows())
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        if damage == "not a number":
+            fields[6] = "abc"
+        else:
+            fields.pop()
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"d\.csv: line 4"):
+            read_diagnostics_csv(str(path))
 
     def test_csv_deterministic(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -218,20 +253,29 @@ class TestCommands:
         assert final.t == pytest.approx(0.05)
 
     def test_run_blowup_exit_code(self, tmp_path):
-        cfg = self.write_cfg(
-            tmp_path,
-            "params.A = 0.5\nparams.sigma = -1\nparams.Omega = 0.1\n"
-            "grid.L = 5\ngrid.n = 16384\n"
-            "init.u = slope_bump(a=9.0, w=0.1)\n"
-            "run.t_end = 0.5\nrun.blowup_threshold = 50\nrun.dt_max = 0.01\n"
-            "run.snapshot_cadence = 0\nrun.diag_stride = 2\nfit.m_lo = 15\n",
-        )
+        cfg = self.write_cfg(tmp_path, STEEP + "fit.m_lo = 15\n")
         out = str(tmp_path / "out")
         code = main(["run", "--config", cfg, "--out", out])
         assert code == 2
         verdict = json.load(open(tmp_path / "out" / "verdict.json"))
         assert verdict["termination"]["event"] == "blowup_detected"
         assert verdict["fit"] is not None and verdict["fit"]["reliable"]
+        # fit.m_lo also sets where every accepted step gets a row
+        rows = read_diagnostics_csv(str(tmp_path / "out" / "diagnostics.csv"))
+        dense = [(a, b) for a, b in zip(rows, rows[1:]) if a.sup_ux > 15 and b.sup_ux > 15]
+        assert len(dense) >= 8
+        for a, b in dense:
+            assert b.t - a.t == pytest.approx(b.dt, rel=1e-9)
+
+    def test_run_fit_window_error_recorded(self, tmp_path):
+        # the default window (20, G/2 = 25) holds too few rows for a fit
+        cfg = self.write_cfg(tmp_path, STEEP)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        verdict = json.load(open(tmp_path / "out" / "verdict.json"))
+        assert list(verdict["fit"]) == ["error"]
+        assert "samples with |M| in [20.0, 25.0]" in verdict["fit"]["error"]
+        assert verdict["rate"] is None
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -249,11 +293,19 @@ class TestCommands:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["run.diag_stride = 0", "run.tol = -1", "run.t_end = inf"]
+        "line",
+        [
+            "run.diag_stride = 0",
+            "run.tol = -1",
+            "run.t_end = inf",
+            "thm42.m_assumed = nan",
+            "init.decay_tol = nan",
+        ],
     )
     def test_bad_run_settings_exit_4(self, tmp_path, capsys, line):
         # unchecked, stride 0 divides by zero, a negative tol breaks the step
-        # controller and an infinite t_end never ends
+        # controller, an infinite t_end never ends, a NaN density bound gives
+        # a NaN constant N and a NaN decay tolerance switches its check off
         key = line.split("=")[0].strip()
         kept = [ln for ln in BASIC.splitlines() if not ln.startswith(key)]
         cfg = self.write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
@@ -271,14 +323,7 @@ class TestCommands:
         assert cert["certificate"]["lemma31_ceiling"] > 0
 
     def test_rate_from_existing_run(self, tmp_path):
-        cfg = self.write_cfg(
-            tmp_path,
-            "params.A = 0.5\nparams.sigma = -1\nparams.Omega = 0.1\n"
-            "grid.L = 5\ngrid.n = 16384\n"
-            "init.u = slope_bump(a=9.0, w=0.1)\n"
-            "run.t_end = 0.5\nrun.blowup_threshold = 50\nrun.dt_max = 0.01\n"
-            "run.snapshot_cadence = 0\nrun.diag_stride = 2\nfit.m_lo = 15\n",
-        )
+        cfg = self.write_cfg(tmp_path, STEEP + "fit.m_lo = 15\n")
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == 2
         assert main(["rate", "--config", cfg, "--out", out]) == 0
@@ -289,6 +334,15 @@ class TestCommands:
     def test_rate_without_run_exit_4(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         assert main(["rate", "--config", cfg, "--out", str(tmp_path / "empty")]) == 4
+
+    def test_rate_damaged_csv_exit_4(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, BASIC)
+        csv = tmp_path / "out" / "diagnostics.csv"
+        csv.parent.mkdir()
+        write_diagnostics_csv(str(csv), sample_rows())
+        csv.write_text(csv.read_text().replace("0.29999999999999999", "x", 1))
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert "config error:" in capsys.readouterr().err
 
     def test_sweep(self, tmp_path):
         cfg = self.write_cfg(
@@ -316,6 +370,19 @@ class TestCommands:
         ) == 0
         lines = open(tmp_path / "sw" / "summary.csv").read().strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("content", [None, "params.mu = 0.0\nparams.mu 0.3\n"])
+    def test_sweep_bad_seed_list_exit_4(self, tmp_path, capsys, content):
+        # a missing seed list, and a line without '='
+        cfg = self.write_cfg(tmp_path, BASIC)
+        seeds = tmp_path / "seeds.txt"
+        if content is not None:
+            seeds.write_text(content)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                     "--seed-list", str(seeds)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seeds.txt" in err
 
 
 class TestSelftest:
