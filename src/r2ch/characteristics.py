@@ -18,9 +18,15 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.interpolate import CubicSpline
 
-from .evolution import RunRecord, _interp_at, _refine_parabolic, refined_extremum
+from .evolution import (
+    DiagnosticRow,
+    RunRecord,
+    _refine_parabolic,
+    make_diagnostic_row,
+    refined_extremum,
+)
 from .model import Grid, PhysParams
-from .spectral import deriv, eval_f
+from .spectral import deriv, eval_f  # noqa: F401  (eval_f: the traced benchmark wraps it here)
 
 # Gaussian gridding on a twice-oversampled grid with 12 points either side of
 # each query point; truncation and aliasing errors are about 1e-12 relative.
@@ -53,12 +59,10 @@ class _BandLimitedField:
         scale = np.exp(m * m * self.tau) * math.sqrt(math.pi / self.tau) / n
         scale[-1] *= 0.5  # the Nyquist coefficient is shared by the modes +-n/2
         self.spline_t = CubicSpline(times, sfft.rfft(fields, axis=1) * scale, axis=0)
-        self.ik = 1j * grid.k
-        self.ik[-1] = 0.0  # as in spectral.deriv
 
     def __call__(self, t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ch = self.spline_t(t)
-        fine = sfft.irfft(np.stack([ch, self.ik * ch]), n=self.n_fine)
+        fine = sfft.irfft(np.stack([ch, self.grid.ik * ch]), n=self.n_fine)
         W, L, h = _HALF_WIDTH, self.grid.half_length, 2.0 * math.pi / self.n_fine
         fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)  # periodic halo
         theta = ((q + L) % (2.0 * L)) * (math.pi / L)
@@ -188,51 +192,33 @@ class ExtremumTrack:
 
 def track_extremum(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     """Per-snapshot location and value of the tracked u_x extremum, with the
-    density and forcing sampled at the (sub-grid refined) extremizer."""
+    density and forcing sampled at the (sub-grid refined) extremizer: the
+    diagnostic row of each snapshot, from its one spectral pass."""
     if branch not in ("sup", "inf"):
         raise ValueError(f"branch must be 'sup' or 'inf', got {branch!r}")
-    grid, params = run.grid, run.params
-    mode = "max" if branch == "sup" else "min"
-    t, xi, M, gamma, f_along = [], [], [], [], []
-    for snap in run.snapshots:
-        ux = deriv(snap.u, grid)
-        loc, val = refined_extremum(ux, grid.x, mode)
-        fvals = eval_f(snap, params, grid)
-        t.append(snap.t)
-        xi.append(loc)
-        M.append(val)
-        gamma.append(_interp_at(snap.rho, grid.x, loc))
-        f_along.append(_interp_at(fvals, grid.x, loc))
-    return ExtremumTrack(
-        branch=branch,
-        t=np.array(t),
-        xi=np.array(xi),
-        M=np.array(M),
-        gamma=np.array(gamma),
-        f_along=np.array(f_along),
-    )
+    rows = [
+        make_diagnostic_row(snap, math.nan, run.params, run.grid) for snap in run.snapshots
+    ]
+    return _track(rows, branch)
 
 
 def track_from_rows(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     """Extremum track assembled from the diagnostic rows (denser than
     snapshots near breaking, at no memory cost)."""
-    rows = run.rows
-    if branch == "sup":
-        return ExtremumTrack(
-            branch="sup",
-            t=np.array([r.t for r in rows]),
-            xi=np.array([r.x_at_sup_ux for r in rows]),
-            M=np.array([r.sup_ux for r in rows]),
-            gamma=np.array([r.gamma_sup for r in rows]),
-            f_along=np.array([r.f_at_sup for r in rows]),
-        )
+    return _track(run.rows, "sup" if branch == "sup" else "inf")
+
+
+def _track(rows: list[DiagnosticRow], side: str) -> ExtremumTrack:
+    def column(name):
+        return np.array([getattr(r, name) for r in rows])
+
     return ExtremumTrack(
-        branch="inf",
-        t=np.array([r.t for r in rows]),
-        xi=np.array([r.x_at_inf_ux for r in rows]),
-        M=np.array([r.inf_ux for r in rows]),
-        gamma=np.array([r.gamma_inf for r in rows]),
-        f_along=np.array([r.f_at_inf for r in rows]),
+        branch=side,
+        t=column("t"),
+        xi=column(f"x_at_{side}_ux"),
+        M=column(f"{side}_ux"),
+        gamma=column(f"gamma_{side}"),
+        f_along=column(f"f_at_{side}"),
     )
 
 

@@ -261,8 +261,13 @@ def _read_seed_list(path: str) -> list[dict[str, str]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if line:
+                where = f"{path}: line {lineno}"
                 items = _split_top_level(line.replace(";", ","))
-                sets.append(dict(_key_value(item, f"{path}: line {lineno}") for item in items))
+                overrides = dict(_key_value(item, where) for item in items)
+                for key in overrides:
+                    if key not in _KNOWN_KEYS:
+                        raise ConfigError(f"{where}: unknown key {key!r}")
+                sets.append(overrides)
     return sets
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .model import FieldState, Grid, PhysParams, RegimeFlags, boundary_leak
-from .spectral import deriv, eval_f
+from .spectral import StateSpectra, deriv, eval_f, state_spectra
 
 # Cash-Karp embedded pair: 6 stages, 5th and 4th order weights.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
@@ -44,8 +44,15 @@ class NonFiniteState(RuntimeError):
     """A non-finite value appeared inside the integrator."""
 
 
-def _rhs_arrays(u: np.ndarray, eta: np.ndarray, params: PhysParams, grid: Grid):
-    """RHS on raw arrays; spectral assembly kept to a minimum of transforms.
+def _rhs_arrays(
+    u: np.ndarray,
+    eta: np.ndarray,
+    params: PhysParams,
+    grid: Grid,
+    spectra: StateSpectra | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RHS on raw arrays: 4 batched FFT calls, 3 of them in ``state_spectra``
+    (skipped when the caller holds the state's ``spectra``) and one irfft.
 
     du/dt = -(sigma u - mu) u_x
             - dx p * [ (mu-A) u + (3-sigma)/2 u^2 + sigma/2 u_x^2
@@ -58,23 +65,10 @@ def _rhs_arrays(u: np.ndarray, eta: np.ndarray, params: PhysParams, grid: Grid):
     """
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
-    n, k, mask = grid.n, grid.k, grid.dealias_mask
-    ik = 1j * k
-    ik[-1] = 0.0
-
-    uh = sfft.rfft(u)
-    etah = sfft.rfft(eta)
-    ux = sfft.irfft(uh * ik, n=n)
-    rho2 = (1.0 + eta) ** 2
-
-    u2h = sfft.rfft(u * u)
-    ux2h = sfft.rfft(ux * ux)
-    eta2h = sfft.rfft(eta * eta)
-    r2uh = sfft.rfft(rho2 * u)
-    r2uxh = sfft.rfft(rho2 * ux)
-    uetah = sfft.rfft(u * eta)
-    for h in (u2h, ux2h, eta2h, r2uh, r2uxh, uetah):
-        h[~mask] = 0.0
+    if spectra is None:
+        spectra = state_spectra(u, eta, grid)
+    uh, etah, ik, helm = spectra.uh, spectra.etah, grid.ik, grid.helm
+    u2h, ux2h, eta2h, r2uh, r2uxh, uetah = spectra.products
 
     bracket_h = (
         (mu - A) * uh
@@ -83,41 +77,49 @@ def _rhs_arrays(u: np.ndarray, eta: np.ndarray, params: PhysParams, grid: Grid):
         + c * (etah + 0.5 * eta2h)
         - Om * r2uh
     )
-    helm = 1.0 + k**2
+    tendency_h = np.empty((2, uh.size), dtype=complex)
     # sigma*u*u_x written as sigma/2 * d/dx(u^2) reuses the dealiased square
-    duh = mu * ik * uh - 0.5 * sigma * ik * u2h - (ik / helm) * bracket_h + (
-        Om / helm
-    ) * r2uxh
-    detah = -ik * uetah - ik * uh
-
-    du = sfft.irfft(duh, n=n)
-    deta = sfft.irfft(detah, n=n)
-    if not (np.all(np.isfinite(du)) and np.all(np.isfinite(deta))):
+    tendency_h[0] = (
+        mu * ik * uh - 0.5 * sigma * ik * u2h - grid.ik_helm * bracket_h + (Om / helm) * r2uxh
+    )
+    tendency_h[1] = -ik * uetah - ik * uh
+    tendency = sfft.irfft(tendency_h, n=grid.n)
+    if not np.all(np.isfinite(tendency)):
         raise NonFiniteState("non-finite tendency")
-    return du, deta, ux
+    return tendency[0], tendency[1]
 
 
 def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
-    du, deta, _ = _rhs_arrays(state.u, state.eta, params, grid)
+    du, deta = _rhs_arrays(state.u, state.eta, params, grid)
     return Tendency(du_dt=du, deta_dt=deta)
 
 
 def step(
-    state: FieldState, dt: float, params: PhysParams, grid: Grid
+    state: FieldState,
+    dt: float,
+    params: PhysParams,
+    grid: Grid,
+    k1: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[FieldState, float]:
     """One Cash-Karp step.  Returns the advanced (4th order) state and the
     error estimate: the 5th/4th order difference in a max norm weighted by
-    the joint (u, eta) magnitude with absolute floor 1e-10."""
+    the joint (u, eta) magnitude with absolute floor 1e-10.
+
+    ``k1`` is the state's tendency (du/dt, deta/dt) when the caller already
+    holds it; it does not depend on dt, so a retried step reuses it and makes
+    5 new RHS evaluations."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u, eta = state.u, state.eta
-    ku, keta = [], []
-    for i in range(6):
+    if k1 is None:
+        k1 = _rhs_arrays(u, eta, params, grid)
+    ku, keta = [k1[0]], [k1[1]]
+    for i in range(1, 6):
         ui, ei = u.copy(), eta.copy()
         for j, a in enumerate(_CK_A[i]):
             ui += dt * a * ku[j]
             ei += dt * a * keta[j]
-        du, deta, _ = _rhs_arrays(ui, ei, params, grid)
+        du, deta = _rhs_arrays(ui, ei, params, grid)
         ku.append(du)
         keta.append(deta)
     u5 = u + dt * sum(b * kj for b, kj in zip(_CK_B5, ku))
@@ -246,8 +248,12 @@ def _interp_at(y: np.ndarray, x: np.ndarray, xq: float) -> float:
     return float(y[i] + 0.5 * s * (y[ip] - y[im]) + 0.5 * s * s * (y[ip] - 2 * y[i] + y[im]))
 
 
-def energy_density_integral(state: FieldState, params: PhysParams, grid: Grid) -> float:
-    ux = deriv(state.u, grid)
+def energy_density_integral(
+    state: FieldState, params: PhysParams, grid: Grid, ux: np.ndarray | None = None
+) -> float:
+    """Discrete energy; ``ux`` is the state's slope when the caller holds it."""
+    if ux is None:
+        ux = deriv(state.u, grid)
     return float(
         grid.dx
         * np.sum(state.u**2 + ux**2 + params.coriolis_margin * state.eta**2)
@@ -260,16 +266,21 @@ def make_diagnostic_row(
     params: PhysParams,
     grid: Grid,
     lemma31_ceiling: float = math.nan,
+    spectra: StateSpectra | None = None,
 ) -> DiagnosticRow:
-    ux = deriv(state.u, grid)
+    """The state's diagnostics from its transforms (``spectra``, when the
+    caller holds them): one irfft, for the forcing."""
+    if spectra is None:
+        spectra = state_spectra(state.u, state.eta, grid)
+    ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
-    fvals = eval_f(state, params, grid)
+    fvals = eval_f(state, params, grid, spectra)
     rho = state.rho
     return DiagnosticRow(
         t=state.t,
         dt=dt,
-        E=energy_density_integral(state, params, grid),
+        E=energy_density_integral(state, params, grid, ux),
         sup_ux=float(sup_ux),
         inf_ux=float(inf_ux),
         x_at_sup_ux=float(x_sup),
@@ -297,80 +308,82 @@ def run(
 ) -> RunRecord:
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation.  Every termination is an event.
+
+    Each accepted state is transformed once: its ``state_spectra`` give its
+    diagnostic row, the max |u_x| of the blow-up test and, with one more
+    irfft, the k1 of every step attempted from it.
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
     state = initial
     dt = min(settings.dt_init, settings.dt_max, settings.t_end)
     accepted = 0
 
-    def record(st: FieldState, used_dt: float):
-        rec.rows.append(
-            make_diagnostic_row(st, used_dt, params, grid, lemma31_ceiling)
-        )
-
-    def snapshot(st: FieldState):
-        if settings.snapshot_cadence > 0 and accepted % settings.snapshot_cadence == 0:
-            rec.snapshots.append(st)
-
-    record(state, dt)
-    snapshot(state)
-    max_abs_ux = max(abs(rec.rows[0].sup_ux), abs(rec.rows[0].inf_ux))
-    if max_abs_ux >= settings.blowup_threshold:
-        rec.termination = Termination("blowup_detected", state.t)
+    def finish(event: str, detail: str = "") -> RunRecord:
+        rec.termination = Termination(event, state.t, detail)
         rec.final_state = state
         return rec
 
+    def record(used_dt: float):
+        rec.rows.append(
+            make_diagnostic_row(state, used_dt, params, grid, lemma31_ceiling, spectra)
+        )
+
+    def snapshot():
+        if settings.snapshot_cadence > 0 and accepted % settings.snapshot_cadence == 0:
+            rec.snapshots.append(state)
+
+    spectra = state_spectra(state.u, state.eta, grid)
+    record(dt)
+    snapshot()
+    max_abs_ux = max(abs(rec.rows[0].sup_ux), abs(rec.rows[0].inf_ux))
+    if max_abs_ux >= settings.blowup_threshold:
+        return finish("blowup_detected")
+
+    k1 = None
     while state.t < settings.t_end:
         dt = min(dt, settings.t_end - state.t)
         try:
-            new_state, err = step(state, dt, params, grid)
+            if k1 is None:
+                # the state's transforms are not needed past its k1
+                k1, spectra = _rhs_arrays(state.u, state.eta, params, grid, spectra), None
+            new_state, err = step(state, dt, params, grid, k1=k1)
         except NonFiniteState as exc:
-            rec.termination = Termination("invariant_violation", state.t, str(exc))
-            rec.final_state = state
-            return rec
+            return finish("invariant_violation", str(exc))
         if settings.adaptive and err > settings.tol:
             dt = max(
                 settings.dt_floor,
                 0.9 * dt * (settings.tol / max(err, 1e-300)) ** 0.2,
             )
             if dt <= settings.dt_floor:
-                rec.termination = Termination("step_floor", state.t)
-                rec.final_state = state
-                return rec
+                return finish("step_floor")
             continue
         used_dt = dt
-        state = new_state
+        state, k1 = new_state, None
         accepted += 1
-        snapshot(state)
+        snapshot()
         if settings.adaptive:
             grow = 0.9 * (settings.tol / max(err, 1e-300)) ** 0.2
             dt = min(settings.dt_max, dt * min(5.0, max(0.2, grow)))
             if dt < settings.dt_floor:
-                rec.termination = Termination("step_floor", state.t)
-                rec.final_state = state
-                return rec
+                return finish("step_floor")
 
-        ux = deriv(state.u, grid)
-        max_abs_ux = float(max(ux.max(), -ux.min()))
+        spectra = state_spectra(state.u, state.eta, grid)
+        max_abs_ux = float(max(spectra.ux.max(), -spectra.ux.min()))
         dense = max_abs_ux > settings.dense_diag_above
         if dense or accepted % settings.diag_stride == 0 or state.t >= settings.t_end:
-            record(state, used_dt)
+            record(used_dt)
         if max_abs_ux >= settings.blowup_threshold:
             if rec.rows[-1].t < state.t:
-                record(state, used_dt)
+                record(used_dt)
             if rec.snapshots and rec.snapshots[-1].t < state.t:
                 rec.snapshots.append(state)
-            rec.termination = Termination("blowup_detected", state.t)
-            rec.final_state = state
-            return rec
+            return finish("blowup_detected")
 
     if rec.rows[-1].t < state.t:
-        record(state, dt)
+        record(dt)
     if rec.snapshots and rec.snapshots[-1].t < state.t:
         rec.snapshots.append(state)
-    rec.termination = Termination("reached_t_end", state.t)
-    rec.final_state = state
-    return rec
+    return finish("reached_t_end")
 
 
 @dataclass(frozen=True)

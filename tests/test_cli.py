@@ -371,9 +371,13 @@ class TestCommands:
         lines = open(tmp_path / "sw" / "summary.csv").read().strip().splitlines()
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("content", [None, "params.mu = 0.0\nparams.mu 0.3\n"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "params.mu = 0.0\nparams.mu 0.3\n", "params.mu = 0.0\nparams.muu = 0.1\n"],
+    )
     def test_sweep_bad_seed_list_exit_4(self, tmp_path, capsys, content):
-        # a missing seed list, and a line without '='
+        # a missing seed list, a line without '=', and an unknown key (checked
+        # before any point runs)
         cfg = self.write_cfg(tmp_path, BASIC)
         seeds = tmp_path / "seeds.txt"
         if content is not None:
@@ -383,6 +387,7 @@ class TestCommands:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seeds.txt" in err
+        assert not (tmp_path / "sw").exists()  # no point ran
 
 
 class TestSelftest:

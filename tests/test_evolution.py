@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import r2ch.evolution as evolution
 from r2ch import (
     BlowupEvent,
     FieldState,
@@ -34,6 +36,7 @@ from r2ch.evolution import (
     energy_density_integral,
     make_diagnostic_row,
 )
+from r2ch.spectral import state_spectra
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -118,6 +121,130 @@ class TestRhsOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 _rhs_arrays(u, np.zeros(g.n), p, g)
+
+
+def _rhs_unbatched(u, eta, params, grid):
+    """The right-hand side with one transform per field: 11 FFT calls, each
+    floating-point expression in the order of the batched evaluation."""
+    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
+    c = params.coriolis_margin
+    n, k = grid.n, grid.k
+    ik = 1j * k
+    ik[-1] = 0.0
+    mask = np.arange(k.size) <= n // 3
+    uh = scipy.fft.rfft(u)
+    etah = scipy.fft.rfft(eta)
+    ux = scipy.fft.irfft(uh * ik, n=n)
+    rho2 = (1.0 + eta) ** 2
+    u2h = scipy.fft.rfft(u * u)
+    ux2h = scipy.fft.rfft(ux * ux)
+    eta2h = scipy.fft.rfft(eta * eta)
+    r2uh = scipy.fft.rfft(rho2 * u)
+    r2uxh = scipy.fft.rfft(rho2 * ux)
+    uetah = scipy.fft.rfft(u * eta)
+    for h in (u2h, ux2h, eta2h, r2uh, r2uxh, uetah):
+        h[~mask] = 0.0
+    bracket_h = (
+        (mu - A) * uh
+        + 0.5 * (3.0 - sigma) * u2h
+        + 0.5 * sigma * ux2h
+        + c * (etah + 0.5 * eta2h)
+        - Om * r2uh
+    )
+    helm = 1.0 + k**2
+    duh = mu * ik * uh - 0.5 * sigma * ik * u2h - (ik / helm) * bracket_h + (
+        Om / helm
+    ) * r2uxh
+    detah = -ik * uetah - ik * uh
+    return scipy.fft.irfft(duh, n=n), scipy.fft.irfft(detah, n=n), ux
+
+
+class TestBatchedRhs:
+    """The batched evaluation is the unbatched one, bit for bit."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_unbatched_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = build_grid(10.0, n)
+        p = PhysParams(A=0.4, sigma=-1.3, mu=0.2, Omega=0.15)
+        bump = np.exp(-(g.x**2))
+        u = rng.uniform(0.1, 1.0) * bump + 0.01 * rng.standard_normal(n)
+        eta = rng.uniform(-0.3, 0.3) * bump + 0.01 * rng.standard_normal(n)
+        du, deta, ux = _rhs_unbatched(u, eta, p, g)
+        got_du, got_deta = _rhs_arrays(u, eta, p, g)
+        np.testing.assert_array_equal(got_du, du)
+        np.testing.assert_array_equal(got_deta, deta)
+        sp = state_spectra(u, eta, g)
+        np.testing.assert_array_equal(sp.ux, ux)
+        # the held transforms give the same tendency, also after another
+        # state was transformed on the same grid (its scratch rows reused)
+        state_spectra(2.0 * u, eta, g)
+        held_du, held_deta = _rhs_arrays(u, eta, p, g, sp)
+        np.testing.assert_array_equal(held_du, du)
+        np.testing.assert_array_equal(held_deta, deta)
+
+
+class TestTransformCounts:
+    """FFT calls per RHS evaluation and per diagnostic row, and the reuse of
+    k1 across a retried step, counted at the scipy.fft entry points."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fft": 0, "rhs": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in ("rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, attr, counting("fft", getattr(scipy.fft, attr)))
+        monkeypatch.setattr(evolution, "_rhs_arrays", counting("rhs", evolution._rhs_arrays))
+        monkeypatch.setattr(evolution, "step", counting("step", evolution.step))
+        return counts
+
+    @staticmethod
+    def problem():
+        p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
+        g = build_grid(20.0, 256)
+        spec = InitialDataSpec(
+            u_terms=(ProfileTerm("gaussian_bump", 0.3, 2.0, 0.0),),
+            eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
+        )
+        return p, g, synthesize(spec, g)
+
+    def test_per_evaluation_and_row(self, counts):
+        p, g, st = self.problem()
+        evolution._rhs_arrays(st.u, st.eta, p, g)
+        assert counts["fft"] == 4
+        sp = state_spectra(st.u, st.eta, g)
+        assert counts["fft"] == 7
+        make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        assert counts["fft"] == 8
+        evolution._rhs_arrays(st.u, st.eta, p, g, sp)
+        assert counts["fft"] == 9
+
+    def test_run_with_rejected_step(self, counts):
+        p, g, st = self.problem()
+        # a first step of 0.3 at tol 1e-10 is rejected
+        settings = RunSettings(
+            t_end=0.3, tol=1e-10, dt_init=0.3, dt_max=0.3, diag_stride=1,
+            snapshot_cadence=0,
+        )
+        rec = evolution.run(st, p, g, settings)
+        assert rec.termination.event == "reached_t_end"
+        rows = len(rec.rows)
+        accepted = rows - 1  # a row at t=0 and at every accepted step
+        rejected = counts["step"] - accepted
+        assert rejected >= 1
+        # k1 once per state stepped from; a retried step makes 5 new evaluations
+        assert counts["rhs"] == 5 * counts["step"] + accepted
+        # 4 FFT calls per evaluation and 1 per row; the final state's
+        # transforms (3 calls) give its row but no k1
+        assert counts["fft"] == 4 * counts["rhs"] + rows + 3
 
 
 class TestRiccatiIdentity:

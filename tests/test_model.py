@@ -90,6 +90,18 @@ class TestGrid:
         assert m[: 64 // 3 + 1].all()
         assert not m[64 // 3 + 1 :].any()
 
+    def test_cached_multipliers(self):
+        g = build_grid(10.0, 64)
+        assert "ik" not in vars(g)  # built on first use, not by build_grid
+        assert g.ik is g.ik and g.dealias_cut == 64 // 3 + 1
+        np.testing.assert_array_equal(g.ik[:-1], 1j * g.k[:-1])
+        assert g.ik[-1] == 0.0
+        np.testing.assert_array_equal(g.helm, 1.0 + g.k**2)
+        np.testing.assert_array_equal(g.ik_helm, g.ik / g.helm)
+        for name in ("ik", "helm", "ik_helm"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 1.0
+
     @pytest.mark.parametrize("n", [8, 100, 0, 4097])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):

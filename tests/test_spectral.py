@@ -16,7 +16,7 @@ from r2ch import (
     helmholtz_conv_dx,
     periodized_kernel,
 )
-from r2ch.spectral import dealias
+from r2ch.spectral import dealias, state_spectra
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +192,56 @@ class TestForcing:
         # grid point j and n-j are mirror images (x=0 at index n//2)
         mirrored = np.roll(f[::-1], 1)
         np.testing.assert_allclose(f, mirrored, atol=1e-10)
+
+
+def _f_composed(state, params, grid):
+    """The forcing composed in physical space from the single-field kernels,
+    term by term as in the eval_f docstring (about 20 transforms)."""
+    u, rho = state.u, state.rho
+    ux = deriv(u, grid)
+    u2 = dealias(u * u, grid)
+    ux2 = dealias(ux * ux, grid)
+    rho2 = dealias(rho * rho, grid)
+    rho2u = dealias(rho * rho * u, grid)
+    rho2ux = dealias(rho * rho * ux, grid)
+    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
+    c = params.coriolis_margin
+    inner = 0.5 * (3.0 - sigma) * u2 + 0.5 * sigma * ux2 + 0.5 * c * rho2 - Om * rho2u
+    return (
+        -(mu - A) * helmholtz_conv_dx(ux, grid)
+        + 0.5 * (3.0 - sigma) * u2
+        - Om * rho2u
+        - helmholtz_conv(inner, grid)
+        + Om * helmholtz_conv_dx(rho2ux, grid)
+    )
+
+
+class TestSpectralForcing:
+    """eval_f sums the forcing in spectral space with one irfft."""
+
+    @staticmethod
+    def state(case):
+        if case == "smooth":
+            g = build_grid(20.0, 4096)
+            u = 0.3 * np.exp(-((g.x / 2.0) ** 2))
+            eta = 0.1 * np.exp(-(((g.x - 1) / 2.0) ** 2))
+            return PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1), g, FieldState(0.0, u, eta)
+        # the steep slope of the breaking runs, with a density bump
+        g = build_grid(5.0, 8192)
+        s = g.x / 0.1
+        u = 9.0 * g.x * np.exp(-(s**2))
+        eta = 0.2 * np.exp(-((g.x / 0.5) ** 2))
+        return PhysParams(A=0.5, sigma=-1.0, mu=0.3, Omega=0.1), g, FieldState(0.0, u, eta)
+
+    @pytest.mark.parametrize("case", ["smooth", "steep"])
+    def test_matches_physical_composition(self, case):
+        p, g, st = self.state(case)
+        expect = _f_composed(st, p, g)
+        got = eval_f(st, p, g)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_held_spectra_same_bits(self):
+        p, g, st = self.state("steep")
+        np.testing.assert_array_equal(
+            eval_f(st, p, g, state_spectra(st.u, st.eta, g)), eval_f(st, p, g)
+        )
