@@ -530,6 +530,12 @@ def cmd_sweep(args) -> int:
     override_sets = [
         {k: v for ov in combo for k, v in ov.items()} for combo in itertools.product(*axes)
     ]
+    # every point's config is checked before the first point runs
+    for i, overrides in enumerate(override_sets):
+        try:
+            parse_config(text, overrides)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {i}: {exc}") from exc
 
     out_root = args.out or cfg.out_dir
     os.makedirs(out_root, exist_ok=True)
@@ -580,6 +586,27 @@ def selftest_checks(mutate_c: float = 0.0):
         td = rhs(st, p, grid)
         worst = max(worst, float(np.max(np.abs(td.du_dt))), float(np.max(np.abs(td.deta_dt))))
     yield "rest_state_equilibrium", worst <= 1e-12, f"max |rhs| {worst:.3e}"
+
+    # the stepping kernel against the six-product transcription
+    rng_state = np.random.default_rng(20240819)
+    grid_s = build_grid(10.0, 256)
+    worst = 0.0
+    for _ in range(5):
+        A, Om = rng_state.uniform(-0.9, 0.9), rng_state.uniform(0.0, 0.45)
+        if 1 - 2 * Om * A <= 0.05:
+            A = 0.0
+        p = PhysParams(A=A, sigma=rng_state.uniform(-3, 3), mu=rng_state.uniform(-1, 1), Omega=Om)
+        bumps = np.exp(-((grid_s.x - rng_state.uniform(-2, 2, size=(2, 1))) ** 2))
+        u, eta = rng_state.uniform(-1, 1, size=(2, 1)) * bumps
+        td = rhs(FieldState(0.0, u, eta), p, grid_s)
+        du, deta = crosscheck.tendency_alt(u, eta, A, p.sigma, p.mu, Om, grid_s.half_length)
+        scale = float(np.max(np.abs(du)))
+        worst = max(
+            worst,
+            float(np.max(np.abs(td.du_dt - du))) / scale,
+            float(np.max(np.abs(td.deta_dt - deta))) / scale,
+        )
+    yield "tendency_oracle", worst <= 1e-13, f"max diff / max |du/dt| {worst:.3e}"
 
     worst_rel = 0.0
     # the initial profiles of the theorem certificates come from their own

@@ -1,16 +1,20 @@
 """Independent second transcriptions of every closed-form certificate
-formula, used for double-entry bookkeeping against transcription error.
+formula and of the tendency, used for double-entry bookkeeping against
+transcription error.
 
 Each function here was written term by term from the displayed formulas,
 deliberately structured differently from the primary implementations in
-``certificates`` (explicit term lists, no shared helpers).  The selftest and
-the test suite compare the two on random inputs; agreement to 1e-12 relative
-is required.
+``certificates`` and ``evolution`` (explicit term lists, no shared helpers,
+numpy's FFT).  The selftest and the test suite compare the two on random
+inputs; agreement to 1e-12 relative is required for the formulas and to
+1e-13 of max |du/dt| for the tendency.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def half_c_squared_terms(
@@ -92,3 +96,50 @@ def thm42_T_alt(m0: float, E0: float, N: float) -> float:
 def k2_alt(C: float, rho_sup: float, A: float, Omega: float) -> float:
     d = 1.0 - 2.0 * Omega * A
     return (d * rho_sup * rho_sup + C * C) / 2.0
+
+
+def tendency_alt(
+    u: np.ndarray, eta: np.ndarray, A: float, sigma: float, mu: float, Omega: float,
+    half_length: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(du/dt, deta/dt) from the six dealiased products u^2, u_x^2, eta^2,
+    rho^2 u, rho^2 u_x and u eta, each transformed on its own:
+
+        du/dt = mu u_x - sigma/2 (u^2)_x
+                - dx p * [(mu-A) u + (3-sigma)/2 u^2 + sigma/2 u_x^2
+                          + (1-2 Omega A)(eta + eta^2/2) - Omega rho^2 u]
+                + Omega p * (rho^2 u_x)
+        deta/dt = -(u eta)_x - u_x
+    """
+    n = u.size
+    k = (math.pi / half_length) * np.arange(n // 2 + 1)
+    ik = 1j * k
+    ik[-1] = 0.0
+    symbol = 1.0 + k * k
+    kept = np.arange(k.size) <= n // 3
+
+    def product(a, b):
+        h = np.fft.rfft(a * b)
+        h[~kept] = 0.0
+        return h
+
+    uh, etah = np.fft.rfft(u), np.fft.rfft(eta)
+    ux = np.fft.irfft(ik * uh, n)
+    rho = 1.0 + eta
+    d = 1.0 - 2.0 * Omega * A
+    bracket = (
+        (mu - A) * uh
+        + (3.0 - sigma) / 2.0 * product(u, u)
+        + sigma / 2.0 * product(ux, ux)
+        + d * etah
+        + d / 2.0 * product(eta, eta)
+        - Omega * product(rho * rho, u)
+    )
+    du_hat = (
+        mu * ik * uh
+        - sigma / 2.0 * ik * product(u, u)
+        - ik * bracket / symbol
+        + Omega * product(rho * rho, ux) / symbol
+    )
+    deta_hat = -ik * (product(u, eta) + uh)
+    return np.fft.irfft(du_hat, n), np.fft.irfft(deta_hat, n)

@@ -1,8 +1,9 @@
 """Time evolution of the nonlocal system: right-hand side, adaptive embedded
 Runge-Kutta stepping, diagnostics recording and breaking-time extrapolation.
 
-The propagated solution is the 4th-order member of the Cash-Karp 5(4) pair;
-the difference to the 5th-order member gives the per-step error estimate.
+The propagated solution is the 4th-order member of the Cash-Karp 5(4) pair,
+stepped in Fourier space; the difference to the 5th-order member gives the
+per-step error estimate.
 """
 
 from __future__ import annotations
@@ -14,22 +15,34 @@ import numpy as np
 from scipy import fft as sfft
 
 from .model import FieldState, Grid, PhysParams, RegimeFlags, boundary_leak
-from .spectral import StateSpectra, deriv, eval_f, state_spectra
+from .spectral import (
+    SpectralKernel,
+    StateSpectra,
+    deriv,
+    eval_f,
+    spectral_kernel,
+    state_spectra,
+)
 
 # Cash-Karp embedded pair: 6 stages, 5th and 4th order weights.
 _CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
 _CK_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [3 / 10, -9 / 10, 6 / 5],
-    [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
-    [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+    np.array(row)
+    for row in [
+        [],
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [3 / 10, -9 / 10, 6 / 5],
+        [-11 / 54, 5 / 2, -70 / 27, 35 / 27],
+        [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+    ]
 ]
 _CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
 _CK_B4 = np.array(
     [2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4]
 )
+# weights of the error spectrum, 5th minus 4th order
+_CK_E = _CK_B5 - _CK_B4
 
 ERR_ABS_FLOOR = 1e-10
 
@@ -45,14 +58,10 @@ class NonFiniteState(RuntimeError):
 
 
 def _rhs_arrays(
-    u: np.ndarray,
-    eta: np.ndarray,
-    params: PhysParams,
-    grid: Grid,
-    spectra: StateSpectra | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """RHS on raw arrays: 4 batched FFT calls, 3 of them in ``state_spectra``
-    (skipped when the caller holds the state's ``spectra``) and one irfft.
+    spectra: StateSpectra, kernel: SpectralKernel, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Tendency spectrum ``[du_hat, deta_hat]`` of the state whose transforms
+    are ``spectra``, summed from the weight rows of ``kernel`` (no FFT):
 
     du/dt = -(sigma u - mu) u_x
             - dx p * [ (mu-A) u + (3-sigma)/2 u^2 + sigma/2 u_x^2
@@ -60,37 +69,36 @@ def _rhs_arrays(
             + Omega p * (rho^2 u_x)
     deta/dt = -(u eta)_x - u_x
 
-    The constant (1-2 Omega A)/2 inside the bracket is dropped: its image
-    under dx p * is exactly zero.  All products pass the two-thirds mask.
+    with sigma u u_x written as sigma/2 d/dx(u^2).  All products pass the
+    two-thirds mask.
     """
-    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
-    c = params.coriolis_margin
-    if spectra is None:
-        spectra = state_spectra(u, eta, grid)
-    uh, etah, ik, helm = spectra.uh, spectra.etah, grid.ik, grid.helm
-    u2h, ux2h, eta2h, r2uh, r2uxh, uetah = spectra.products
-
-    bracket_h = (
-        (mu - A) * uh
-        + 0.5 * (3.0 - sigma) * u2h
-        + 0.5 * sigma * ux2h
-        + c * (etah + 0.5 * eta2h)
-        - Om * r2uh
-    )
-    tendency_h = np.empty((2, uh.size), dtype=complex)
-    # sigma*u*u_x written as sigma/2 * d/dx(u^2) reuses the dealiased square
-    tendency_h[0] = (
-        mu * ik * uh - 0.5 * sigma * ik * u2h - grid.ik_helm * bracket_h + (Om / helm) * r2uxh
-    )
-    tendency_h[1] = -ik * uetah - ik * uh
-    tendency = sfft.irfft(tendency_h, n=grid.n)
-    if not np.all(np.isfinite(tendency)):
+    uh, etah = spectra.spectrum
+    u2h, r2uxh, uetah, bh = spectra.products
+    if out is None:
+        out = np.empty((2, uh.size), dtype=complex)
+    du, deta = out
+    term = kernel.scratch
+    np.multiply(kernel.w_uh, uh, out=du)
+    for w, h in ((kernel.w_etah, etah), (kernel.w_u2, u2h), (kernel.w_r2ux, r2uxh)):
+        np.multiply(w, h, out=term)
+        du += term
+    np.multiply(kernel.ik_helm, bh, out=term)
+    du -= term
+    np.add(uetah, uh, out=deta)
+    np.multiply(kernel.ik, deta, out=deta)
+    np.negative(deta, out=deta)
+    if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite tendency")
-    return tendency[0], tendency[1]
+    return out
 
 
 def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
-    du, deta = _rhs_arrays(state.u, state.eta, params, grid)
+    """The tendency in physical space: 4 FFT calls, 3 for the state's
+    transforms and one irfft."""
+    kernel = spectral_kernel(params, grid)
+    spectra = state_spectra(state.u, state.eta, params, grid, kernel)
+    # the tendency spectrum is formed in the kernel's stage rows
+    du, deta = sfft.irfft(_rhs_arrays(spectra, kernel, out=kernel.rows[:2]), n=grid.n)
     return Tendency(du_dt=du, deta_dt=deta)
 
 
@@ -99,36 +107,64 @@ def step(
     dt: float,
     params: PhysParams,
     grid: Grid,
-    k1: tuple[np.ndarray, np.ndarray] | None = None,
+    k1: np.ndarray | None = None,
+    kernel: SpectralKernel | None = None,
 ) -> tuple[FieldState, float]:
-    """One Cash-Karp step.  Returns the advanced (4th order) state and the
-    error estimate: the 5th/4th order difference in a max norm weighted by
-    the joint (u, eta) magnitude with absolute floor 1e-10.
+    """One Cash-Karp step in Fourier space.  Returns the advanced (4th order)
+    state and the error estimate: the 5th/4th order difference in a max norm
+    weighted by the joint (u, eta) magnitude with absolute floor 1e-10.
 
-    ``k1`` is the state's tendency (du/dt, deta/dt) when the caller already
-    holds it; it does not depend on dt, so a retried step reuses it and makes
-    5 new RHS evaluations."""
+    The state and the stage tendencies are ``(2, n/2+1)`` spectra of
+    (u, eta).  Each stage makes one irfft of ``[uh, etah, ik uh]`` and one
+    rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
+    (u5-u4)h, (eta5-eta4)h]`` ends the step: 11 FFT calls.  The new state
+    carries its spectrum and slope to the next step.
+
+    ``k1`` is the state's tendency spectrum when the caller already holds
+    it; it does not depend on dt, so a retried step reuses it and makes 5 new
+    RHS evaluations.  ``kernel`` is ``spectral_kernel(params, grid)``, built
+    here when not given.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u, eta = state.u, state.eta
+    if kernel is None:
+        kernel = spectral_kernel(params, grid)
+    if state._transforms is None:
+        held = state_spectra(state.u, state.eta, params, grid, kernel)
+        spectrum = held.spectrum
+    else:
+        spectrum, ux = state._transforms
+        if k1 is None:
+            held = kernel.transform(spectrum, state.u, state.eta, ux)
     if k1 is None:
-        k1 = _rhs_arrays(u, eta, params, grid)
-    ku, keta = [k1[0]], [k1[1]]
+        k1 = _rhs_arrays(held, kernel)
+
+    stages, rows = kernel.stages, kernel.rows
+    flat = stages.reshape(6, -1).view(np.float64)
+
+    def combine(weights, out):
+        np.dot(dt * weights, flat[: weights.size], out=out.reshape(-1).view(np.float64))
+
+    stages[0] = k1
     for i in range(1, 6):
-        ui, ei = u.copy(), eta.copy()
-        for j, a in enumerate(_CK_A[i]):
-            ui += dt * a * ku[j]
-            ei += dt * a * keta[j]
-        du, deta = _rhs_arrays(ui, ei, params, grid)
-        ku.append(du)
-        keta.append(deta)
-    u5 = u + dt * sum(b * kj for b, kj in zip(_CK_B5, ku))
-    e5 = eta + dt * sum(b * kj for b, kj in zip(_CK_B5, keta))
-    u4 = u + dt * sum(b * kj for b, kj in zip(_CK_B4, ku))
-    e4 = eta + dt * sum(b * kj for b, kj in zip(_CK_B4, keta))
-    diff = max(np.max(np.abs(u5 - u4)), np.max(np.abs(e5 - e4)))
-    scale = ERR_ABS_FLOOR + max(np.max(np.abs(u4)), np.max(np.abs(e4)))
-    new = FieldState(t=state.t + dt, u=u4, eta=e4)
+        combine(_CK_A[i], rows[:2])
+        rows[:2] += spectrum
+        _rhs_arrays(kernel.inverse(rows), kernel, out=stages[i])
+    end = np.empty((5, spectrum.shape[1]), dtype=complex)
+    combine(_CK_B4, end[:2])
+    end[:2] += spectrum
+    new_spectrum = end[:2].copy()
+    np.multiply(grid.ik, end[0], out=end[2])
+    combine(_CK_E, end[3:])
+    out = sfft.irfft(end, n=grid.n)
+    del end
+
+    diff = max(np.max(np.abs(out[3])), np.max(np.abs(out[4])))
+    fields = out[:2].copy()
+    scale = ERR_ABS_FLOOR + np.max(np.abs(fields))
+    new = FieldState(
+        t=state.t + dt, u=fields[0], eta=fields[1], _transforms=(new_spectrum, out[2].copy())
+    )
     return new, float(diff / scale)
 
 
@@ -203,6 +239,12 @@ class RunRecord:
     snapshots: list[FieldState] = field(default_factory=list)
     termination: Termination | None = None
     final_state: FieldState | None = None
+    # step counters; the accepted dt range is NaN until a step is accepted
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    rhs_evals: int = 0
+    accepted_dt_min: float = math.nan
+    accepted_dt_max: float = math.nan
 
     @property
     def times(self) -> np.ndarray:
@@ -269,9 +311,9 @@ def make_diagnostic_row(
     spectra: StateSpectra | None = None,
 ) -> DiagnosticRow:
     """The state's diagnostics from its transforms (``spectra``, when the
-    caller holds them): one irfft, for the forcing."""
+    caller holds them): two FFT calls, for the forcing."""
     if spectra is None:
-        spectra = state_spectra(state.u, state.eta, grid)
+        spectra = state_spectra(state.u, state.eta, params, grid)
     ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
@@ -299,6 +341,13 @@ def make_diagnostic_row(
     )
 
 
+def _release(state: FieldState) -> FieldState:
+    """Drop the stepper's transforms from a state that is no longer stepped
+    from; a stored state keeps only its samples."""
+    object.__setattr__(state, "_transforms", None)
+    return state
+
+
 def run(
     initial: FieldState,
     params: PhysParams,
@@ -309,18 +358,20 @@ def run(
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation.  Every termination is an event.
 
-    Each accepted state is transformed once: its ``state_spectra`` give its
-    diagnostic row, the max |u_x| of the blow-up test and, with one more
-    irfft, the k1 of every step attempted from it.
+    The stepper's kernel is built once per run.  Each accepted state arrives
+    from ``step`` with its spectrum and slope; one rfft of its products gives
+    its diagnostic row and the k1 of every step attempted from it, and its
+    slope gives the max |u_x| of the blow-up test.
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
-    state = initial
+    kernel = spectral_kernel(params, grid)
+    spectra = state_spectra(initial.u, initial.eta, params, grid, kernel)
+    state = replace(initial, _transforms=(spectra.spectrum, spectra.ux))
     dt = min(settings.dt_init, settings.dt_max, settings.t_end)
-    accepted = 0
 
     def finish(event: str, detail: str = "") -> RunRecord:
         rec.termination = Termination(event, state.t, detail)
-        rec.final_state = state
+        rec.final_state = _release(state)
         return rec
 
     def record(used_dt: float):
@@ -329,10 +380,16 @@ def run(
         )
 
     def snapshot():
-        if settings.snapshot_cadence > 0 and accepted % settings.snapshot_cadence == 0:
+        if settings.snapshot_cadence > 0 and rec.steps_accepted % settings.snapshot_cadence == 0:
             rec.snapshots.append(state)
 
-    spectra = state_spectra(state.u, state.eta, grid)
+    def floor_detail(what: str, step_dt: float, err: float) -> str:
+        return (
+            f"{what} step of dt {step_dt!r} at t {state.t!r} (error estimate {err!r}, "
+            f"tol {settings.tol!r}) leaves next dt {dt!r} at or below dt_floor "
+            f"{settings.dt_floor!r}"
+        )
+
     record(dt)
     snapshot()
     max_abs_ux = max(abs(rec.rows[0].sup_ux), abs(rec.rows[0].inf_ux))
@@ -344,33 +401,42 @@ def run(
         dt = min(dt, settings.t_end - state.t)
         try:
             if k1 is None:
-                # the state's transforms are not needed past its k1
-                k1, spectra = _rhs_arrays(state.u, state.eta, params, grid, spectra), None
-            new_state, err = step(state, dt, params, grid, k1=k1)
+                # k1 fills the kernel's first stage row, which a retried step
+                # keeps; the state's products are not needed past it
+                k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
+                spectra = None
+                rec.rhs_evals += 1
+            new_state, err = step(state, dt, params, grid, k1=k1, kernel=kernel)
         except NonFiniteState as exc:
             return finish("invariant_violation", str(exc))
+        rec.rhs_evals += 5
+        used_dt = dt
         if settings.adaptive and err > settings.tol:
+            rec.steps_rejected += 1
             dt = max(
                 settings.dt_floor,
                 0.9 * dt * (settings.tol / max(err, 1e-300)) ** 0.2,
             )
             if dt <= settings.dt_floor:
-                return finish("step_floor")
+                return finish("step_floor", floor_detail("rejected", used_dt, err))
             continue
-        used_dt = dt
+        _release(state)
         state, k1 = new_state, None
-        accepted += 1
+        rec.steps_accepted += 1
+        rec.accepted_dt_min = min(used_dt, rec.accepted_dt_min)
+        rec.accepted_dt_max = max(used_dt, rec.accepted_dt_max)
         snapshot()
         if settings.adaptive:
             grow = 0.9 * (settings.tol / max(err, 1e-300)) ** 0.2
             dt = min(settings.dt_max, dt * min(5.0, max(0.2, grow)))
             if dt < settings.dt_floor:
-                return finish("step_floor")
+                return finish("step_floor", floor_detail("accepted", used_dt, err))
 
-        spectra = state_spectra(state.u, state.eta, grid)
-        max_abs_ux = float(max(spectra.ux.max(), -spectra.ux.min()))
+        spectrum, ux = state._transforms
+        spectra = kernel.transform(spectrum, state.u, state.eta, ux)
+        max_abs_ux = float(max(ux.max(), -ux.min()))
         dense = max_abs_ux > settings.dense_diag_above
-        if dense or accepted % settings.diag_stride == 0 or state.t >= settings.t_end:
+        if dense or rec.steps_accepted % settings.diag_stride == 0 or state.t >= settings.t_end:
             record(used_dt)
         if max_abs_ux >= settings.blowup_threshold:
             if rec.rows[-1].t < state.t:

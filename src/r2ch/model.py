@@ -110,12 +110,20 @@ class Grid:
 
     @cached_property
     def product_rows(self) -> np.ndarray:
-        """Scratch rows that ``spectral.state_spectra`` fills with a state's six
-        pointwise products before their batched rfft.  One buffer per grid: a
-        fresh one per call makes the C allocator trim and regrow the heap,
-        about 480 page faults per call at n = 2^14.  Threads that transform
-        states on one grid at the same time would share it."""
+        """Scratch rows of ``spectral``: a state's four pointwise products
+        (rows 0-3) before their batched rfft, and two rows of intermediate
+        terms.  One buffer per grid: a fresh one per call makes the C
+        allocator trim and regrow the heap, about 480 page faults per call at
+        n = 2^14.  Threads that transform states on one grid at the same time
+        would share it."""
         return np.empty((6, self.n))
+
+    @cached_property
+    def kernels(self) -> dict:
+        """The stepping kernel of the parameters last used on this grid
+        (``spectral.spectral_kernel``), so that repeated evaluations share its
+        weight rows and buffers."""
+        return {}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -141,6 +149,11 @@ class FieldState:
     t: float
     u: np.ndarray
     eta: np.ndarray
+    # (spectrum, u_x) of a state made by ``evolution.step``: the stepper's
+    # own transforms, handed to the next step
+    _transforms: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.u.shape != self.eta.shape or self.u.ndim != 1:

@@ -7,12 +7,13 @@ The canonical path applies Fourier multipliers (ik for the derivative,
 quadrature against the closed-form periodized kernel serves as the test
 oracle; the two derivations share nothing but the grid.  The single-field
 kernels ``helmholtz_conv``, ``helmholtz_conv_dx`` and ``dealias`` are kept as
-oracles for the batched path of ``state_spectra``.
+oracles for the batched path of ``SpectralKernel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -106,33 +107,163 @@ def _central_deriv4(f: np.ndarray, dx: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpectra:
-    """One state's transforms, from three batched FFT calls: the rffts of u
-    and eta, the slope u_x, and the dealiased rffts of the six products
-    u^2, u_x^2, eta^2, rho^2 u, rho^2 u_x and u eta (rows of ``products``)."""
+    """One state's transforms: ``spectrum`` holds the rffts of u and eta (rows
+    ``uh``, ``etah``), ``u``, ``eta`` and ``ux`` its samples and slope, and
+    ``products`` the dealiased rffts of u^2, rho^2 u_x, u eta and the bracket
+    B of ``SpectralKernel``."""
 
-    uh: np.ndarray
-    etah: np.ndarray
+    spectrum: np.ndarray
+    u: np.ndarray
+    eta: np.ndarray
     ux: np.ndarray
     products: np.ndarray
 
+    @property
+    def uh(self) -> np.ndarray:
+        return self.spectrum[0]
 
-def state_spectra(u: np.ndarray, eta: np.ndarray, grid: Grid) -> StateSpectra:
-    """The transforms the tendency and the forcing of a state are built from.
+    @property
+    def etah(self) -> np.ndarray:
+        return self.spectrum[1]
+
+
+@dataclass(frozen=True)
+class SpectralKernel:
+    """The stepping kernel of one (params, grid).
+
+    A state's four products are formed in physical space, the bracket
+
+        B = (3-sigma)/2 u^2 + sigma/2 u_x^2 + (1-2 Omega A)/2 eta^2 - Omega rho^2 u
+
+    summed there (exact, as the rfft and the two-thirds mask are linear), and
+    transformed in one batched rfft.  The tendency spectrum is a sum of weight
+    rows times the state's spectrum and product spectra:
+
+        du_hat   = w_uh uh + w_etah etah + w_u2 (u^2)^ + w_r2ux (rho^2 u_x)^
+                   - ik/(1+k^2) B^
+        deta_hat = -ik ((u eta)^ + uh)
+
+    where the last two weight rows are the grid's multipliers.  The kernel
+    holds the grid's arrays it uses, not the grid, which caches the kernel.
+    The buffers are scratch space of the stepper that uses the kernel.
+    """
+
+    n: int
+    dealias_cut: int
+    ik: np.ndarray = field(repr=False)
+    ik_helm: np.ndarray = field(repr=False)
+    product_rows: np.ndarray = field(repr=False)
+    b_u2: float
+    b_ux2: float
+    b_eta2: float
+    omega: float
+    w_uh: np.ndarray = field(repr=False)
+    w_etah: np.ndarray = field(repr=False)
+    w_u2: np.ndarray = field(repr=False)
+    w_r2ux: np.ndarray = field(repr=False)
+
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        """One spectral row for the terms of the tendency sum."""
+        return np.empty(self.ik.size, dtype=complex)
+
+    @cached_property
+    def stages(self) -> np.ndarray:
+        """The six Cash-Karp stage tendencies of one step, ``(6, 2, n/2+1)``."""
+        return np.empty((6, 2, self.ik.size), dtype=complex)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Spectral rows ``[uh, etah, ik uh]`` of a stage's batched irfft."""
+        return np.empty((3, self.ik.size), dtype=complex)
+
+    def transform(self, spectrum, u, eta, ux) -> StateSpectra:
+        """The state's transforms from its spectrum, samples and slope: one
+        rfft, of the four products formed in the grid's ``product_rows``."""
+        rows = self.product_rows
+        u2, r2ux, ueta, bracket, rho2, term = rows
+        np.add(eta, 1.0, out=rho2)
+        np.multiply(rho2, rho2, out=rho2)
+        np.multiply(u, u, out=u2)
+        np.multiply(rho2, ux, out=r2ux)
+        np.multiply(u, eta, out=ueta)
+        np.multiply(u2, self.b_u2, out=bracket)
+        for a, b, coeff, op in (
+            (ux, ux, self.b_ux2, np.add),
+            (eta, eta, self.b_eta2, np.add),
+            (rho2, u, self.omega, np.subtract),
+        ):
+            np.multiply(a, b, out=term)
+            term *= coeff
+            op(bracket, term, out=bracket)
+        products = sfft.rfft(rows[:4])
+        products[:, self.dealias_cut :] = 0.0
+        return StateSpectra(spectrum=spectrum, u=u, eta=eta, ux=ux, products=products)
+
+    def inverse(self, rows: np.ndarray) -> StateSpectra:
+        """The transforms of the state whose spectrum fills rows 0-1 of the
+        ``(3, n/2+1)`` array ``rows``: row 2 becomes ``ik uh``, one irfft gives
+        u, eta and u_x, and ``transform`` adds the products.  2 FFT calls."""
+        np.multiply(self.ik, rows[0], out=rows[2])
+        u, eta, ux = sfft.irfft(rows, n=self.n)
+        return self.transform(rows[:2], u, eta, ux)
+
+
+def spectral_kernel(params: PhysParams, grid: Grid) -> SpectralKernel:
+    """Bracket coefficients and weight rows of ``SpectralKernel``:
+
+        w_uh = mu ik - (mu-A) ik/(1+k^2),   w_etah = -(1-2 Omega A) ik/(1+k^2),
+        w_u2 = -sigma/2 ik,                 w_r2ux = Omega/(1+k^2).
+
+    The constant (1-2 Omega A)/2 of the bracket is dropped: its image under
+    dx p * is exactly zero.  The grid keeps the kernel of the parameters it
+    was last asked for.
+    """
+    kernel = grid.kernels.get(params)
+    if kernel is not None:
+        return kernel
+    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
+    c = params.coriolis_margin
+    ik, ik_helm = grid.ik, grid.ik_helm
+    grid.kernels.clear()
+    kernel = grid.kernels[params] = SpectralKernel(
+        n=grid.n,
+        dealias_cut=grid.dealias_cut,
+        ik=ik,
+        ik_helm=ik_helm,
+        product_rows=grid.product_rows,
+        b_u2=0.5 * (3.0 - sigma),
+        b_ux2=0.5 * sigma,
+        b_eta2=0.5 * c,
+        omega=Om,
+        w_uh=mu * ik - (mu - A) * ik_helm,
+        w_etah=-c * ik_helm,
+        w_u2=-0.5 * sigma * ik,
+        w_r2ux=Om / grid.helm,
+    )
+    return kernel
+
+
+def state_spectra(
+    u: np.ndarray,
+    eta: np.ndarray,
+    params: PhysParams,
+    grid: Grid,
+    kernel: SpectralKernel | None = None,
+) -> StateSpectra:
+    """The transforms of the state (u, eta): 3 FFT calls, an rfft of
+    ``[u, eta]``, an irfft for u_x and the rfft of the four products.
 
     Each batched transform runs along the last axis and gives, row by row,
-    the same bits as one call per field.  The products are formed in the
-    grid's scratch rows ``grid.product_rows``.
+    the same bits as one call per field.
     """
-    uh, etah = sfft.rfft(np.stack([u, eta]))
-    ux = sfft.irfft(uh * grid.ik, n=grid.n)
-    rho2 = (1.0 + eta) ** 2
-    prods = grid.product_rows
-    factors = ((u, u), (ux, ux), (eta, eta), (rho2, u), (rho2, ux), (u, eta))
-    for row, (a, b) in zip(prods, factors):
-        np.multiply(a, b, out=row)
-    products = sfft.rfft(prods)
-    products[:, grid.dealias_cut :] = 0.0
-    return StateSpectra(uh=uh, etah=etah, ux=ux, products=products)
+    if kernel is None:
+        kernel = spectral_kernel(params, grid)
+    fields = grid.product_rows[4:]
+    fields[0], fields[1] = u, eta
+    spectrum = sfft.rfft(fields)
+    ux = sfft.irfft(np.multiply(spectrum[0], grid.ik, out=kernel.scratch), n=grid.n)
+    return kernel.transform(spectrum, u, eta, ux)
 
 
 def eval_f(
@@ -151,20 +282,31 @@ def eval_f(
     with the second derivative of the kernel rewritten as dx p * dx u.
     Quadratic and cubic products are dealiased.  The sum is taken in
     spectral space from the state's transforms (``spectra``, when the caller
-    already holds them) and costs one irfft; rho^2 = 1 + 2 eta + eta^2 adds
-    n at k = 0 to the transform of its non-constant part.
+    already holds them), with one rfft of the local part
+    L = (3-sigma)/2 u^2 - Omega rho^2 u and one irfft.  The inner bracket is
+    B + (1-2 Omega A) eta + (1-2 Omega A)/2, and the constant adds n/2 times
+    (1-2 Omega A) at k = 0.
     """
     if spectra is None:
-        spectra = state_spectra(state.u, state.eta, grid)
+        spectra = state_spectra(state.u, state.eta, params, grid)
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
-    u2h, ux2h, eta2h, r2uh, r2uxh, _ = spectra.products
-    rho2h = 2.0 * spectra.etah + eta2h
-    rho2h[grid.dealias_cut :] = 0.0
-    rho2h[0] += grid.n
-    local = 0.5 * (3.0 - sigma) * u2h - Om * r2uh
-    inner = local + 0.5 * sigma * ux2h + 0.5 * c * rho2h
-    fh = local - inner / grid.helm + grid.ik_helm * (
+    u, eta, cut = spectra.u, spectra.eta, grid.dealias_cut
+    _, r2uxh, _, bh = spectra.products
+    local, rho2u = grid.product_rows[4:]
+    np.add(eta, 1.0, out=rho2u)
+    np.multiply(rho2u, rho2u, out=rho2u)
+    rho2u *= u
+    np.multiply(u, u, out=local)
+    local *= 0.5 * (3.0 - sigma)
+    rho2u *= Om
+    local -= rho2u
+    local_h = sfft.rfft(local)
+    local_h[cut:] = 0.0
+    inner = bh + c * spectra.etah
+    inner[cut:] = 0.0
+    inner[0] += 0.5 * c * grid.n
+    fh = local_h - inner / grid.helm + grid.ik_helm * (
         Om * r2uxh - (mu - A) * (grid.ik * spectra.uh)
     )
     return sfft.irfft(fh, n=grid.n)

@@ -9,6 +9,7 @@ import pytest
 
 from r2ch import FieldState, build_grid
 from r2ch import certificates as cert_mod
+from r2ch import evolution
 from r2ch.cli import (
     ConfigError,
     _jsonable,
@@ -390,6 +391,16 @@ class TestCommands:
         assert not (tmp_path / "sw").exists()  # no point ran
 
 
+    def test_sweep_bad_value_exit_4(self, tmp_path, capsys):
+        # a sweep value that does not parse stops the sweep before any point runs
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.mu = 0.1, abc\n")
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep point 1:") and "abc" in err
+        assert not (tmp_path / "sw").exists()  # no point ran
+
+
 class TestSelftest:
     def test_all_checks_pass(self):
         results = list(selftest_checks())
@@ -398,6 +409,7 @@ class TestSelftest:
             "kernel_oracle_p",
             "kernel_oracle_dxp",
             "rest_state_equilibrium",
+            "tendency_oracle",
             "double_entry_formulas",
             "synthetic_rate_profile",
         ]
@@ -434,6 +446,20 @@ class TestSelftest:
         monkeypatch.setattr(cert_mod, name, mutated)
         results = {check: ok for check, ok, _ in selftest_checks()}
         assert not results["double_entry_formulas"]
+
+    def test_tendency_weight_mutation_detected(self, monkeypatch):
+        # a perturbed weight row of the stepping kernel must trip the
+        # six-product comparison
+        original = evolution.spectral_kernel
+
+        def mutated(params, grid):
+            kernel = original(params, grid)
+            return dataclasses.replace(kernel, w_u2=kernel.w_u2 * (1.0 + 1e-6))
+
+        monkeypatch.setattr(evolution, "spectral_kernel", mutated)
+        results = {check: ok for check, ok, _ in selftest_checks()}
+        assert not results["tendency_oracle"]
+        assert results["rest_state_equilibrium"]
 
     def test_cli_exit_codes(self, capsys):
         assert main(["selftest"]) == 0

@@ -36,7 +36,7 @@ from r2ch.evolution import (
     energy_density_integral,
     make_diagnostic_row,
 )
-from r2ch.spectral import state_spectra
+from r2ch.spectral import spectral_kernel, state_spectra
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -120,12 +120,13 @@ class TestRhsOracle:
         u = np.full(g.n, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
-                _rhs_arrays(u, np.zeros(g.n), p, g)
+                rhs(FieldState(0.0, u, np.zeros(g.n)), p, g)
 
 
-def _rhs_unbatched(u, eta, params, grid):
-    """The right-hand side with one transform per field: 11 FFT calls, each
-    floating-point expression in the order of the batched evaluation."""
+def _rhs_six_products(u, eta, params, grid):
+    """The physics oracle: the tendency from the six dealiased products u^2,
+    u_x^2, eta^2, rho^2 u, rho^2 u_x and u eta, one transform per field.
+    Returns (du, deta, u_x)."""
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
     n, k = grid.n, grid.k
@@ -159,35 +160,171 @@ def _rhs_unbatched(u, eta, params, grid):
     return scipy.fft.irfft(duh, n=n), scipy.fft.irfft(detah, n=n), ux
 
 
+def _tendency_unbatched(uh, etah, u, eta, ux, params, grid):
+    """Tendency spectra from the four products u^2, rho^2 u_x, u eta and the
+    bracket B, one transform per field, each floating-point expression in the
+    order of the batched kernel."""
+    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
+    c = params.coriolis_margin
+    k = grid.k
+    ik = 1j * k
+    ik[-1] = 0.0
+    helm = 1.0 + k**2
+    ik_helm = ik / helm
+    mask = np.arange(k.size) <= grid.n // 3
+    rho2 = (1.0 + eta) ** 2
+    u2 = u * u
+    bracket = (
+        0.5 * (3.0 - sigma) * u2
+        + 0.5 * sigma * (ux * ux)
+        + 0.5 * c * (eta * eta)
+        - Om * (rho2 * u)
+    )
+    u2h = scipy.fft.rfft(u2)
+    r2uxh = scipy.fft.rfft(rho2 * ux)
+    uetah = scipy.fft.rfft(u * eta)
+    bh = scipy.fft.rfft(bracket)
+    for h in (u2h, r2uxh, uetah, bh):
+        h[~mask] = 0.0
+    w_uh = mu * ik - (mu - A) * ik_helm
+    duh = (
+        w_uh * uh + (-c * ik_helm) * etah + (-0.5 * sigma * ik) * u2h + (Om / helm) * r2uxh
+    ) - ik_helm * bh
+    detah = -(ik * (uetah + uh))
+    return duh, detah
+
+
+def _rhs_unbatched(u, eta, params, grid):
+    """The physical tendency with one transform per field; returns
+    (du, deta, u_x)."""
+    n = grid.n
+    uh = scipy.fft.rfft(u)
+    etah = scipy.fft.rfft(eta)
+    ik = 1j * grid.k
+    ik[-1] = 0.0
+    ux = scipy.fft.irfft(uh * ik, n=n)
+    duh, detah = _tendency_unbatched(uh, etah, u, eta, ux, params, grid)
+    return scipy.fft.irfft(duh, n=n), scipy.fft.irfft(detah, n=n), ux
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(10.0, n)
+    bump = np.exp(-(g.x**2))
+    u = rng.uniform(0.1, 1.0) * bump + 0.01 * rng.standard_normal(n)
+    eta = rng.uniform(-0.3, 0.3) * bump + 0.01 * rng.standard_normal(n)
+    return g, u, eta
+
+
 class TestBatchedRhs:
     """The batched evaluation is the unbatched one, bit for bit."""
 
     @pytest.mark.parametrize("n", [256, 4096])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_unbatched_oracle(self, n, seed):
-        rng = np.random.default_rng(seed)
-        g = build_grid(10.0, n)
+        g, u, eta = _random_state(n, seed)
         p = PhysParams(A=0.4, sigma=-1.3, mu=0.2, Omega=0.15)
-        bump = np.exp(-(g.x**2))
-        u = rng.uniform(0.1, 1.0) * bump + 0.01 * rng.standard_normal(n)
-        eta = rng.uniform(-0.3, 0.3) * bump + 0.01 * rng.standard_normal(n)
         du, deta, ux = _rhs_unbatched(u, eta, p, g)
-        got_du, got_deta = _rhs_arrays(u, eta, p, g)
-        np.testing.assert_array_equal(got_du, du)
-        np.testing.assert_array_equal(got_deta, deta)
-        sp = state_spectra(u, eta, g)
+        td = rhs(FieldState(0.0, u, eta), p, g)
+        np.testing.assert_array_equal(td.du_dt, du)
+        np.testing.assert_array_equal(td.deta_dt, deta)
+        kernel = spectral_kernel(p, g)
+        sp = state_spectra(u, eta, p, g, kernel)
         np.testing.assert_array_equal(sp.ux, ux)
         # the held transforms give the same tendency, also after another
         # state was transformed on the same grid (its scratch rows reused)
-        state_spectra(2.0 * u, eta, g)
-        held_du, held_deta = _rhs_arrays(u, eta, p, g, sp)
-        np.testing.assert_array_equal(held_du, du)
-        np.testing.assert_array_equal(held_deta, deta)
+        state_spectra(2.0 * u, eta, p, g, kernel)
+        held = scipy.fft.irfft(_rhs_arrays(sp, kernel), n=n)
+        np.testing.assert_array_equal(held[0], du)
+        np.testing.assert_array_equal(held[1], deta)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_stage_equals_unbatched_oracle(self, n):
+        # a stage starts from a spectrum: one irfft gives u, eta and u_x
+        g, u, eta = _random_state(n, 2)
+        p = PhysParams(A=0.4, sigma=-1.3, mu=0.2, Omega=0.15)
+        uh, etah = scipy.fft.rfft(u), scipy.fft.rfft(eta)
+        ik = 1j * g.k
+        ik[-1] = 0.0
+        u_s, eta_s, ux_s = (scipy.fft.irfft(h, n=n) for h in (uh, etah, ik * uh))
+        duh, detah = _tendency_unbatched(uh, etah, u_s, eta_s, ux_s, p, g)
+        kernel = spectral_kernel(p, g)
+        rows = np.empty((3, g.k.size), dtype=complex)
+        rows[0], rows[1] = uh, etah
+        sp = kernel.inverse(rows)
+        np.testing.assert_array_equal(sp.ux, ux_s)
+        got = _rhs_arrays(sp, kernel)
+        np.testing.assert_array_equal(got[0], duh)
+        np.testing.assert_array_equal(got[1], detah)
+
+
+def _steep_state(n):
+    # the steep slope of the breaking runs, with a density bump
+    g = build_grid(5.0, n)
+    u = 9.0 * g.x * np.exp(-((g.x / 0.1) ** 2))
+    eta = 0.2 * np.exp(-((g.x / 0.5) ** 2))
+    return g, u, eta
+
+
+class TestTendencyOracle:
+    """The four-product kernel against the six-product formula on the same
+    samples.  (A stage's samples come from an irfft of its spectrum; the
+    stage path is checked bitwise in ``TestBatchedRhs``.)"""
+
+    @pytest.mark.parametrize("n", [256, 4096, 2**14])
+    def test_matches_six_products(self, n):
+        if n == 256:
+            g, u, eta = _random_state(n, 3)
+        else:
+            g, u, eta = _steep_state(n)
+        p = PhysParams(A=0.5, sigma=-1.0, mu=0.3, Omega=0.1)
+        du, deta, _ = _rhs_six_products(u, eta, p, g)
+        scale = np.max(np.abs(du))
+        td = rhs(FieldState(0.0, u, eta), p, g)
+        assert np.max(np.abs(td.du_dt - du)) <= 1e-14 * scale
+        assert np.max(np.abs(td.deta_dt - deta)) <= 1e-14 * scale
+
+
+class TestFourierStep:
+    """The Fourier-space step against a physical-space Cash-Karp step on the
+    six-product tendency."""
+
+    @staticmethod
+    def physical_step(u, eta, dt, p, g):
+        ku, keta = [], []
+        for i in range(6):
+            ui, ei = u.copy(), eta.copy()
+            for j, a in enumerate(evolution._CK_A[i]):
+                ui += dt * a * ku[j]
+                ei += dt * a * keta[j]
+            du, deta, _ = _rhs_six_products(ui, ei, p, g)
+            ku.append(du)
+            keta.append(deta)
+        u5 = u + dt * sum(b * kj for b, kj in zip(evolution._CK_B5, ku))
+        e5 = eta + dt * sum(b * kj for b, kj in zip(evolution._CK_B5, keta))
+        u4 = u + dt * sum(b * kj for b, kj in zip(evolution._CK_B4, ku))
+        e4 = eta + dt * sum(b * kj for b, kj in zip(evolution._CK_B4, keta))
+        diff = max(np.max(np.abs(u5 - u4)), np.max(np.abs(e5 - e4)))
+        scale = evolution.ERR_ABS_FLOOR + max(np.max(np.abs(u4)), np.max(np.abs(e4)))
+        return u4, e4, diff / scale
+
+    # steps whose error estimate (3e-8, 5e-6) stands well above the rounding
+    # of the transcription's u5 - u4
+    @pytest.mark.parametrize("dt", [0.2, 0.5])
+    def test_matches_physical_transcription(self, dt):
+        p, g, st = TestTransformCounts.problem()
+        u4, e4, err = self.physical_step(st.u, st.eta, dt, p, g)
+        new, got_err = step(st, dt, p, g)
+        assert new.t == st.t + dt
+        assert np.max(np.abs(new.u - u4)) <= 1e-13
+        assert np.max(np.abs(new.eta - e4)) <= 1e-13
+        assert got_err == pytest.approx(err, rel=1e-6)
 
 
 class TestTransformCounts:
-    """FFT calls per RHS evaluation and per diagnostic row, and the reuse of
-    k1 across a retried step, counted at the scipy.fft entry points."""
+    """FFT calls per stage evaluation, step end, accepted state and
+    diagnostic row, and the reuse of k1 across a retried step, counted at
+    the scipy.fft entry points."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -218,14 +355,24 @@ class TestTransformCounts:
 
     def test_per_evaluation_and_row(self, counts):
         p, g, st = self.problem()
-        evolution._rhs_arrays(st.u, st.eta, p, g)
+        rhs(st, p, g)
         assert counts["fft"] == 4
-        sp = state_spectra(st.u, st.eta, g)
+        kernel = spectral_kernel(p, g)
+        sp = state_spectra(st.u, st.eta, p, g, kernel)
         assert counts["fft"] == 7
         make_diagnostic_row(st, 0.01, p, g, spectra=sp)
-        assert counts["fft"] == 8
-        evolution._rhs_arrays(st.u, st.eta, p, g, sp)
         assert counts["fft"] == 9
+        k1 = evolution._rhs_arrays(sp, kernel)
+        assert counts["fft"] == 9
+        rows = np.empty((3, g.k.size), dtype=complex)
+        rows[:2] = sp.spectrum
+        evolution._rhs_arrays(kernel.inverse(rows), kernel)
+        assert counts["fft"] == 11
+        # a step from a state the stepper made: 5 stages and the step end
+        new, _ = step(st, 0.01, p, g, k1=k1, kernel=kernel)
+        counts["fft"] = 0
+        step(new, 0.01, p, g, k1=k1, kernel=kernel)
+        assert counts["fft"] == 11
 
     def test_run_with_rejected_step(self, counts):
         p, g, st = self.problem()
@@ -242,9 +389,15 @@ class TestTransformCounts:
         assert rejected >= 1
         # k1 once per state stepped from; a retried step makes 5 new evaluations
         assert counts["rhs"] == 5 * counts["step"] + accepted
-        # 4 FFT calls per evaluation and 1 per row; the final state's
-        # transforms (3 calls) give its row but no k1
-        assert counts["fft"] == 4 * counts["rhs"] + rows + 3
+        # the initial state's transforms (3 calls), 11 per attempted step,
+        # 1 per accepted state (its products) and 2 per row
+        assert counts["fft"] == 3 + 11 * counts["step"] + accepted + 2 * rows
+        assert rec.steps_accepted == accepted
+        assert rec.steps_rejected == rejected
+        assert rec.rhs_evals == counts["rhs"]
+        used = [row.dt for row in rec.rows[1:]]
+        assert rec.accepted_dt_min == min(used)
+        assert rec.accepted_dt_max == max(used)
 
 
 class TestRiccatiIdentity:
@@ -377,6 +530,7 @@ class TestRunTermination:
         settings = RunSettings(t_end=1.0, tol=1e-300, dt_floor=1e-6, dt_init=1e-3)
         rec = run(st, p, g, settings)
         assert rec.termination.event == "step_floor"
+        assert "dt_floor" in rec.termination.detail
 
     def test_snapshot_cadence_zero_disables(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
@@ -384,6 +538,18 @@ class TestRunTermination:
         st = FieldState(0.0, np.zeros(g.n), np.zeros(g.n))
         rec = run(st, p, g, RunSettings(t_end=0.05, snapshot_cadence=0))
         assert rec.snapshots == []
+
+    def test_stored_states_own_their_samples(self):
+        # snapshots and the final state hold their own (2, n) block, not the
+        # step's end-of-step rows, and none keeps the stepper's transforms
+        p, g, st = TestTransformCounts.problem()
+        rec = run(st, p, g, RunSettings(t_end=0.3, snapshot_cadence=1))
+        assert len(rec.snapshots) > 2
+        for s in rec.snapshots[1:] + [rec.final_state]:
+            for a in (s.u, s.eta):
+                assert a.shape == (g.n,) and a.base is not None
+                assert a.base.shape == (2, g.n) and a.base.base is None
+            assert s._transforms is None
 
     def test_final_snapshot_present(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)

@@ -243,5 +243,5 @@ class TestSpectralForcing:
     def test_held_spectra_same_bits(self):
         p, g, st = self.state("steep")
         np.testing.assert_array_equal(
-            eval_f(st, p, g, state_spectra(st.u, st.eta, g)), eval_f(st, p, g)
+            eval_f(st, p, g, state_spectra(st.u, st.eta, p, g)), eval_f(st, p, g)
         )
