@@ -15,6 +15,7 @@ import numpy as np
 from .evolution import RunRecord, energy_density_integral, refined_extremum
 from .model import FieldState, Grid, PhysParams
 from .characteristics import ExtremumTrack
+from .spectral import deriv
 
 # Grid sup norms are lower bounds on the true sup; where a sup norm enters the
 # conservative side of a bound it is inflated by this relative margin.
@@ -114,8 +115,6 @@ def thm41_certificate(
     """
     if params.sigma >= 0:
         raise ValueError("this certificate requires sigma < 0")
-    from .spectral import deriv
-
     sigma = params.sigma
     u0x = deriv(u0, grid)
     x0, slope = refined_extremum(u0x, grid.x, "max")
@@ -175,8 +174,6 @@ def thm42_certificate(
         raise ValueError("E0 must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    from .spectral import deriv
-
     u0x = deriv(u0, grid)
     m0 = float(grid.dx * np.sum(u0x**3))
     s = math.sqrt(2.0 * E0 * N)
@@ -219,8 +216,6 @@ def build_certificate(
     configuration, computed from the initial data."""
     E0 = energy(state0, params, grid)
     rho0_sup = refined_sup_abs(state0.rho, grid) * (1.0 + SUP_NORM_INFLATION)
-    from .spectral import deriv
-
     u0x_sup = refined_sup_abs(deriv(state0.u, grid), grid) * (1.0 + SUP_NORM_INFLATION)
     C = constant_C(E0, rho0_sup, params)
     ceiling = (

@@ -26,7 +26,7 @@ from .evolution import (
     refined_extremum,
 )
 from .model import Grid, PhysParams
-from .spectral import deriv, eval_f  # noqa: F401  (eval_f: the traced benchmark wraps it here)
+from .spectral import SpectralKernel, deriv, eval_f  # noqa: F401  (the benchmark wraps eval_f)
 
 # Gaussian gridding on a twice-oversampled grid with 12 points either side of
 # each query point; truncation and aliasing errors are about 1e-12 relative.
@@ -196,8 +196,12 @@ def track_extremum(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     diagnostic row of each snapshot, from its one spectral pass."""
     if branch not in ("sup", "inf"):
         raise ValueError(f"branch must be 'sup' or 'inf', got {branch!r}")
+    kernel = SpectralKernel(run.params, run.grid)
     rows = [
-        make_diagnostic_row(snap, math.nan, run.params, run.grid) for snap in run.snapshots
+        make_diagnostic_row(
+            snap, math.nan, run.params, run.grid, spectra=kernel.forward(snap.u, snap.eta)
+        )
+        for snap in run.snapshots
     ]
     return _track(rows, branch)
 

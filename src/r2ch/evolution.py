@@ -15,17 +15,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from .model import FieldState, Grid, PhysParams, RegimeFlags, boundary_leak
-from .spectral import (
-    SpectralKernel,
-    StateSpectra,
-    deriv,
-    eval_f,
-    spectral_kernel,
-    state_spectra,
-)
+from .spectral import SpectralKernel, StateSpectra, deriv, eval_f
 
 # Cash-Karp embedded pair: 6 stages, 5th and 4th order weights.
-_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
 _CK_A = [
     np.array(row)
     for row in [
@@ -77,15 +69,15 @@ def _rhs_arrays(
     if out is None:
         out = np.empty((2, uh.size), dtype=complex)
     du, deta = out
-    term = kernel.scratch
+    term, grid = kernel.scratch, kernel.grid
     np.multiply(kernel.w_uh, uh, out=du)
     for w, h in ((kernel.w_etah, etah), (kernel.w_u2, u2h), (kernel.w_r2ux, r2uxh)):
         np.multiply(w, h, out=term)
         du += term
-    np.multiply(kernel.ik_helm, bh, out=term)
+    np.multiply(grid.ik_helm, bh, out=term)
     du -= term
     np.add(uetah, uh, out=deta)
-    np.multiply(kernel.ik, deta, out=deta)
+    np.multiply(grid.ik, deta, out=deta)
     np.negative(deta, out=deta)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState("non-finite tendency")
@@ -95,8 +87,8 @@ def _rhs_arrays(
 def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
     """The tendency in physical space: 4 FFT calls, 3 for the state's
     transforms and one irfft."""
-    kernel = spectral_kernel(params, grid)
-    spectra = state_spectra(state.u, state.eta, params, grid, kernel)
+    kernel = SpectralKernel(params, grid)
+    spectra = kernel.forward(state.u, state.eta)
     # the tendency spectrum is formed in the kernel's stage rows
     du, deta = sfft.irfft(_rhs_arrays(spectra, kernel, out=kernel.rows[:2]), n=grid.n)
     return Tendency(du_dt=du, deta_dt=deta)
@@ -122,15 +114,15 @@ def step(
 
     ``k1`` is the state's tendency spectrum when the caller already holds
     it; it does not depend on dt, so a retried step reuses it and makes 5 new
-    RHS evaluations.  ``kernel`` is ``spectral_kernel(params, grid)``, built
-    here when not given.
+    RHS evaluations.  ``kernel`` is a ``SpectralKernel(params, grid)`` that
+    nothing else uses meanwhile, built here when not given.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if kernel is None:
-        kernel = spectral_kernel(params, grid)
+        kernel = SpectralKernel(params, grid)
     if state._transforms is None:
-        held = state_spectra(state.u, state.eta, params, grid, kernel)
+        held = kernel.forward(state.u, state.eta)
         spectrum = held.spectrum
     else:
         spectrum, ux = state._transforms
@@ -313,7 +305,7 @@ def make_diagnostic_row(
     """The state's diagnostics from its transforms (``spectra``, when the
     caller holds them): two FFT calls, for the forcing."""
     if spectra is None:
-        spectra = state_spectra(state.u, state.eta, params, grid)
+        spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
     ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
@@ -358,14 +350,14 @@ def run(
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation.  Every termination is an event.
 
-    The stepper's kernel is built once per run.  Each accepted state arrives
+    The run builds its own ``SpectralKernel``.  Each accepted state arrives
     from ``step`` with its spectrum and slope; one rfft of its products gives
     its diagnostic row and the k1 of every step attempted from it, and its
     slope gives the max |u_x| of the blow-up test.
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
-    kernel = spectral_kernel(params, grid)
-    spectra = state_spectra(initial.u, initial.eta, params, grid, kernel)
+    kernel = SpectralKernel(params, grid)
+    spectra = kernel.forward(initial.u, initial.eta)
     state = replace(initial, _transforms=(spectra.spectrum, spectra.ux))
     dt = min(settings.dt_init, settings.dt_max, settings.t_end)
 
@@ -445,8 +437,6 @@ def run(
                 rec.snapshots.append(state)
             return finish("blowup_detected")
 
-    if rec.rows[-1].t < state.t:
-        record(dt)
     if rec.snapshots and rec.snapshots[-1].t < state.t:
         rec.snapshots.append(state)
     return finish("reached_t_end")

@@ -4,6 +4,9 @@ The real line is truncated to a periodic box [-L, L); all stored fields decay
 towards the box edges, which is enforced at t=0 through a boundary-decay
 tolerance and monitored afterwards.  The density is stored as the deviation
 eta = rho - 1 so that every stored field decays.
+
+A grid holds its mesh and read-only Fourier multipliers, shared by callers in
+any thread; the stepper's buffers belong to ``spectral.SpectralKernel``.
 """
 
 from __future__ import annotations
@@ -107,23 +110,6 @@ class Grid:
     def ik_helm(self) -> np.ndarray:
         """Multiplier ik/(1+k^2) of dx p *, Nyquist mode zeroed."""
         return _read_only(self.ik / self.helm)
-
-    @cached_property
-    def product_rows(self) -> np.ndarray:
-        """Scratch rows of ``spectral``: a state's four pointwise products
-        (rows 0-3) before their batched rfft, and two rows of intermediate
-        terms.  One buffer per grid: a fresh one per call makes the C
-        allocator trim and regrow the heap, about 480 page faults per call at
-        n = 2^14.  Threads that transform states on one grid at the same time
-        would share it."""
-        return np.empty((6, self.n))
-
-    @cached_property
-    def kernels(self) -> dict:
-        """The stepping kernel of the parameters last used on this grid
-        (``spectral.spectral_kernel``), so that repeated evaluations share its
-        weight rows and buffers."""
-        return {}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -244,18 +230,15 @@ def synthesize(spec: InitialDataSpec, grid: Grid) -> FieldState:
     The decay proxy (max field magnitude over the outer 5% of the box below
     spec.decay_tol) is enforced unless eta_zero mode is set.
     """
-    u = spec.u0(grid.x)
-    eta = spec.eta0(grid.x)
+    state = FieldState(t=0.0, u=spec.u0(grid.x), eta=spec.eta0(grid.x))
     if not spec.eta_zero:
-        edge = max(1, int(round(0.05 * grid.n / 2)))
-        sl = np.r_[0:edge, grid.n - edge : grid.n]
-        leak = max(np.max(np.abs(u[sl])), np.max(np.abs(eta[sl])))
+        leak = boundary_leak(state, grid)
         if leak > spec.decay_tol:
             raise DecayViolation(
                 f"initial data does not decay at the boundary: "
                 f"magnitude {leak:.3e} exceeds tolerance {spec.decay_tol:.3e}"
             )
-    return FieldState(t=0.0, u=u, eta=eta)
+    return state
 
 
 def boundary_leak(state: FieldState, grid: Grid) -> float:

@@ -1,19 +1,18 @@
-"""Spectral differentiation, Helmholtz Green-kernel convolutions, a state's
-batched transforms and the forcing field of the differentiated velocity
-equation.
+"""Spectral differentiation, Helmholtz Green-kernel convolutions, the
+stepping kernel with a state's batched transforms, and the forcing field of
+the differentiated velocity equation.
 
 The canonical path applies Fourier multipliers (ik for the derivative,
-1/(1+k^2) for the kernel p(x) = exp(-|x|)/2).  An independent physical-space
-quadrature against the closed-form periodized kernel serves as the test
-oracle; the two derivations share nothing but the grid.  The single-field
-kernels ``helmholtz_conv``, ``helmholtz_conv_dx`` and ``dealias`` are kept as
-oracles for the batched path of ``SpectralKernel``.
+1/(1+k^2) for the kernel p(x) = exp(-|x|)/2), read-only on the grid.  An
+independent physical-space quadrature against the closed-form periodized
+kernel serves as the test oracle; the two derivations share nothing but the
+grid.  The single-field kernels ``helmholtz_conv``, ``helmholtz_conv_dx`` and
+``dealias`` are kept as oracles for the batched path of ``SpectralKernel``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -107,29 +106,21 @@ def _central_deriv4(f: np.ndarray, dx: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpectra:
-    """One state's transforms: ``spectrum`` holds the rffts of u and eta (rows
-    ``uh``, ``etah``), ``u``, ``eta`` and ``ux`` its samples and slope, and
+    """One state's transforms, made by ``kernel``: ``spectrum`` holds the
+    rffts of u and eta, ``u``, ``eta`` and ``ux`` its samples and slope, and
     ``products`` the dealiased rffts of u^2, rho^2 u_x, u eta and the bracket
     B of ``SpectralKernel``."""
 
+    kernel: SpectralKernel
     spectrum: np.ndarray
     u: np.ndarray
     eta: np.ndarray
     ux: np.ndarray
     products: np.ndarray
 
-    @property
-    def uh(self) -> np.ndarray:
-        return self.spectrum[0]
 
-    @property
-    def etah(self) -> np.ndarray:
-        return self.spectrum[1]
-
-
-@dataclass(frozen=True)
 class SpectralKernel:
-    """The stepping kernel of one (params, grid).
+    """The stepping kernel of one (params, grid), built by its caller.
 
     A state's four products are formed in physical space, the bracket
 
@@ -143,43 +134,43 @@ class SpectralKernel:
                    - ik/(1+k^2) B^
         deta_hat = -ik ((u eta)^ + uh)
 
-    where the last two weight rows are the grid's multipliers.  The kernel
-    holds the grid's arrays it uses, not the grid, which caches the kernel.
-    The buffers are scratch space of the stepper that uses the kernel.
+        w_uh = mu ik - (mu-A) ik/(1+k^2),   w_etah = -(1-2 Omega A) ik/(1+k^2),
+        w_u2 = -sigma/2 ik,                 w_r2ux = Omega/(1+k^2).
+
+    The constant (1-2 Omega A)/2 of the bracket is dropped: its image under
+    dx p * is exactly zero.
+
+    The kernel owns the buffers its transforms and its stepper write into, so
+    it serves one computation at a time; kernels on one grid share nothing
+    else.  One set per kernel, not per call: fresh buffers per call make the
+    C allocator trim and regrow the heap, about 480 page faults per call at
+    n = 2^14.
     """
 
-    n: int
-    dealias_cut: int
-    ik: np.ndarray = field(repr=False)
-    ik_helm: np.ndarray = field(repr=False)
-    product_rows: np.ndarray = field(repr=False)
-    b_u2: float
-    b_ux2: float
-    b_eta2: float
-    omega: float
-    w_uh: np.ndarray = field(repr=False)
-    w_etah: np.ndarray = field(repr=False)
-    w_u2: np.ndarray = field(repr=False)
-    w_r2ux: np.ndarray = field(repr=False)
-
-    @cached_property
-    def scratch(self) -> np.ndarray:
-        """One spectral row for the terms of the tendency sum."""
-        return np.empty(self.ik.size, dtype=complex)
-
-    @cached_property
-    def stages(self) -> np.ndarray:
-        """The six Cash-Karp stage tendencies of one step, ``(6, 2, n/2+1)``."""
-        return np.empty((6, 2, self.ik.size), dtype=complex)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Spectral rows ``[uh, etah, ik uh]`` of a stage's batched irfft."""
-        return np.empty((3, self.ik.size), dtype=complex)
+    def __init__(self, params: PhysParams, grid: Grid):
+        A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
+        c = params.coriolis_margin
+        ik, ik_helm = grid.ik, grid.ik_helm
+        self.grid = grid
+        self.b_u2 = 0.5 * (3.0 - sigma)
+        self.b_ux2 = 0.5 * sigma
+        self.b_eta2 = 0.5 * c
+        self.omega = Om
+        self.w_uh = mu * ik - (mu - A) * ik_helm
+        self.w_etah = -c * ik_helm
+        self.w_u2 = -0.5 * sigma * ik
+        self.w_r2ux = Om / grid.helm
+        # a state's four products (rows 0-3) and two rows of terms; a spectral
+        # row of the tendency sum; the six Cash-Karp stage tendencies of a
+        # step; the rows [uh, etah, ik uh] of a stage's irfft
+        self.product_rows = np.empty((6, grid.n))
+        self.scratch = np.empty(ik.size, dtype=complex)
+        self.stages = np.empty((6, 2, ik.size), dtype=complex)
+        self.rows = np.empty((3, ik.size), dtype=complex)
 
     def transform(self, spectrum, u, eta, ux) -> StateSpectra:
         """The state's transforms from its spectrum, samples and slope: one
-        rfft, of the four products formed in the grid's ``product_rows``."""
+        rfft, of the four products formed in ``product_rows``."""
         rows = self.product_rows
         u2, r2ux, ueta, bracket, rho2, term = rows
         np.add(eta, 1.0, out=rho2)
@@ -197,73 +188,29 @@ class SpectralKernel:
             term *= coeff
             op(bracket, term, out=bracket)
         products = sfft.rfft(rows[:4])
-        products[:, self.dealias_cut :] = 0.0
-        return StateSpectra(spectrum=spectrum, u=u, eta=eta, ux=ux, products=products)
+        products[:, self.grid.dealias_cut :] = 0.0
+        return StateSpectra(self, spectrum, u, eta, ux, products)
 
     def inverse(self, rows: np.ndarray) -> StateSpectra:
         """The transforms of the state whose spectrum fills rows 0-1 of the
         ``(3, n/2+1)`` array ``rows``: row 2 becomes ``ik uh``, one irfft gives
         u, eta and u_x, and ``transform`` adds the products.  2 FFT calls."""
-        np.multiply(self.ik, rows[0], out=rows[2])
-        u, eta, ux = sfft.irfft(rows, n=self.n)
+        np.multiply(self.grid.ik, rows[0], out=rows[2])
+        u, eta, ux = sfft.irfft(rows, n=self.grid.n)
         return self.transform(rows[:2], u, eta, ux)
 
+    def forward(self, u: np.ndarray, eta: np.ndarray) -> StateSpectra:
+        """The transforms of the state (u, eta): 3 FFT calls, an rfft of
+        ``[u, eta]``, an irfft for u_x and the rfft of the four products.
 
-def spectral_kernel(params: PhysParams, grid: Grid) -> SpectralKernel:
-    """Bracket coefficients and weight rows of ``SpectralKernel``:
-
-        w_uh = mu ik - (mu-A) ik/(1+k^2),   w_etah = -(1-2 Omega A) ik/(1+k^2),
-        w_u2 = -sigma/2 ik,                 w_r2ux = Omega/(1+k^2).
-
-    The constant (1-2 Omega A)/2 of the bracket is dropped: its image under
-    dx p * is exactly zero.  The grid keeps the kernel of the parameters it
-    was last asked for.
-    """
-    kernel = grid.kernels.get(params)
-    if kernel is not None:
-        return kernel
-    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
-    c = params.coriolis_margin
-    ik, ik_helm = grid.ik, grid.ik_helm
-    grid.kernels.clear()
-    kernel = grid.kernels[params] = SpectralKernel(
-        n=grid.n,
-        dealias_cut=grid.dealias_cut,
-        ik=ik,
-        ik_helm=ik_helm,
-        product_rows=grid.product_rows,
-        b_u2=0.5 * (3.0 - sigma),
-        b_ux2=0.5 * sigma,
-        b_eta2=0.5 * c,
-        omega=Om,
-        w_uh=mu * ik - (mu - A) * ik_helm,
-        w_etah=-c * ik_helm,
-        w_u2=-0.5 * sigma * ik,
-        w_r2ux=Om / grid.helm,
-    )
-    return kernel
-
-
-def state_spectra(
-    u: np.ndarray,
-    eta: np.ndarray,
-    params: PhysParams,
-    grid: Grid,
-    kernel: SpectralKernel | None = None,
-) -> StateSpectra:
-    """The transforms of the state (u, eta): 3 FFT calls, an rfft of
-    ``[u, eta]``, an irfft for u_x and the rfft of the four products.
-
-    Each batched transform runs along the last axis and gives, row by row,
-    the same bits as one call per field.
-    """
-    if kernel is None:
-        kernel = spectral_kernel(params, grid)
-    fields = grid.product_rows[4:]
-    fields[0], fields[1] = u, eta
-    spectrum = sfft.rfft(fields)
-    ux = sfft.irfft(np.multiply(spectrum[0], grid.ik, out=kernel.scratch), n=grid.n)
-    return kernel.transform(spectrum, u, eta, ux)
+        Each batched transform runs along the last axis and gives, row by
+        row, the same bits as one call per field.
+        """
+        fields = self.product_rows[4:]
+        fields[0], fields[1] = u, eta
+        spectrum = sfft.rfft(fields)
+        ux = sfft.irfft(np.multiply(spectrum[0], self.grid.ik, out=self.scratch), n=self.grid.n)
+        return self.transform(spectrum, u, eta, ux)
 
 
 def eval_f(
@@ -288,12 +235,13 @@ def eval_f(
     (1-2 Omega A) at k = 0.
     """
     if spectra is None:
-        spectra = state_spectra(state.u, state.eta, params, grid)
+        spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
     u, eta, cut = spectra.u, spectra.eta, grid.dealias_cut
+    uh, etah = spectra.spectrum
     _, r2uxh, _, bh = spectra.products
-    local, rho2u = grid.product_rows[4:]
+    local, rho2u = spectra.kernel.product_rows[4:]
     np.add(eta, 1.0, out=rho2u)
     np.multiply(rho2u, rho2u, out=rho2u)
     rho2u *= u
@@ -303,10 +251,10 @@ def eval_f(
     local -= rho2u
     local_h = sfft.rfft(local)
     local_h[cut:] = 0.0
-    inner = bh + c * spectra.etah
+    inner = bh + c * etah
     inner[cut:] = 0.0
     inner[0] += 0.5 * c * grid.n
     fh = local_h - inner / grid.helm + grid.ik_helm * (
-        Om * r2uxh - (mu - A) * (grid.ik * spectra.uh)
+        Om * r2uxh - (mu - A) * (grid.ik * uh)
     )
     return sfft.irfft(fh, n=grid.n)

@@ -450,13 +450,12 @@ class TestSelftest:
     def test_tendency_weight_mutation_detected(self, monkeypatch):
         # a perturbed weight row of the stepping kernel must trip the
         # six-product comparison
-        original = evolution.spectral_kernel
+        class Mutated(evolution.SpectralKernel):
+            def __init__(self, params, grid):
+                super().__init__(params, grid)
+                self.w_u2 = self.w_u2 * (1.0 + 1e-6)
 
-        def mutated(params, grid):
-            kernel = original(params, grid)
-            return dataclasses.replace(kernel, w_u2=kernel.w_u2 * (1.0 + 1e-6))
-
-        monkeypatch.setattr(evolution, "spectral_kernel", mutated)
+        monkeypatch.setattr(evolution, "SpectralKernel", Mutated)
         results = {check: ok for check, ok, _ in selftest_checks()}
         assert not results["tendency_oracle"]
         assert results["rest_state_equilibrium"]

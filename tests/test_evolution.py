@@ -1,6 +1,8 @@
 """Time stepping, diagnostics and breaking-time extrapolation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from r2ch.evolution import (
     energy_density_integral,
     make_diagnostic_row,
 )
-from r2ch.spectral import spectral_kernel, state_spectra
+from r2ch.spectral import SpectralKernel
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -228,12 +230,12 @@ class TestBatchedRhs:
         td = rhs(FieldState(0.0, u, eta), p, g)
         np.testing.assert_array_equal(td.du_dt, du)
         np.testing.assert_array_equal(td.deta_dt, deta)
-        kernel = spectral_kernel(p, g)
-        sp = state_spectra(u, eta, p, g, kernel)
+        kernel = SpectralKernel(p, g)
+        sp = kernel.forward(u, eta)
         np.testing.assert_array_equal(sp.ux, ux)
         # the held transforms give the same tendency, also after another
-        # state was transformed on the same grid (its scratch rows reused)
-        state_spectra(2.0 * u, eta, p, g, kernel)
+        # state was transformed by the same kernel (its scratch rows reused)
+        kernel.forward(2.0 * u, eta)
         held = scipy.fft.irfft(_rhs_arrays(sp, kernel), n=n)
         np.testing.assert_array_equal(held[0], du)
         np.testing.assert_array_equal(held[1], deta)
@@ -248,7 +250,7 @@ class TestBatchedRhs:
         ik[-1] = 0.0
         u_s, eta_s, ux_s = (scipy.fft.irfft(h, n=n) for h in (uh, etah, ik * uh))
         duh, detah = _tendency_unbatched(uh, etah, u_s, eta_s, ux_s, p, g)
-        kernel = spectral_kernel(p, g)
+        kernel = SpectralKernel(p, g)
         rows = np.empty((3, g.k.size), dtype=complex)
         rows[0], rows[1] = uh, etah
         sp = kernel.inverse(rows)
@@ -357,8 +359,8 @@ class TestTransformCounts:
         p, g, st = self.problem()
         rhs(st, p, g)
         assert counts["fft"] == 4
-        kernel = spectral_kernel(p, g)
-        sp = state_spectra(st.u, st.eta, p, g, kernel)
+        kernel = SpectralKernel(p, g)
+        sp = kernel.forward(st.u, st.eta)
         assert counts["fft"] == 7
         make_diagnostic_row(st, 0.01, p, g, spectra=sp)
         assert counts["fft"] == 9
@@ -398,6 +400,65 @@ class TestTransformCounts:
         used = [row.dt for row in rec.rows[1:]]
         assert rec.accepted_dt_min == min(used)
         assert rec.accepted_dt_max == max(used)
+
+    def test_one_kernel_per_run(self, monkeypatch):
+        p, g, st = self.problem()
+        built = []
+        init = SpectralKernel.__init__
+
+        def counting(kernel, params, grid):
+            built.append(params)
+            init(kernel, params, grid)
+
+        monkeypatch.setattr(SpectralKernel, "__init__", counting)
+        settings = RunSettings(
+            t_end=0.3, tol=1e-10, dt_init=0.3, dt_max=0.3, diag_stride=1,
+            snapshot_cadence=0,
+        )
+        rec = evolution.run(st, p, g, settings)
+        assert rec.steps_rejected >= 1 and rec.steps_accepted >= 1
+        assert built == [p]
+
+
+class TestSharedGrid:
+    """Runs on one grid share only its read-only multipliers: each run's
+    kernel owns its scratch space."""
+
+    def test_threaded_runs_match_sequential(self):
+        p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
+        g = build_grid(20.0, 512)
+        settings = RunSettings(t_end=0.25, dt_max=0.02, snapshot_cadence=0)
+        states = [
+            synthesize(
+                InitialDataSpec(
+                    u_terms=(ProfileTerm("gaussian_bump", amp, 2.0, 0.0),),
+                    eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
+                ),
+                g,
+            )
+            for amp in (0.3, 0.25)
+        ]
+        expect = [run(st, p, g, settings) for st in states]
+        got = [None, None]
+
+        def work(i):
+            got[i] = run(states[i], p, g, settings)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rec, ref in zip(got, expect):
+            np.testing.assert_array_equal(rec.final_state.u, ref.final_state.u)
+            np.testing.assert_array_equal(rec.final_state.eta, ref.final_state.eta)
+            assert [row.E for row in rec.rows] == [row.E for row in ref.rows]
 
 
 class TestRiccatiIdentity:

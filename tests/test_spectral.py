@@ -16,7 +16,7 @@ from r2ch import (
     helmholtz_conv_dx,
     periodized_kernel,
 )
-from r2ch.spectral import dealias, state_spectra
+from r2ch.spectral import SpectralKernel, dealias
 
 
 @pytest.fixture(scope="module")
@@ -243,5 +243,5 @@ class TestSpectralForcing:
     def test_held_spectra_same_bits(self):
         p, g, st = self.state("steep")
         np.testing.assert_array_equal(
-            eval_f(st, p, g, state_spectra(st.u, st.eta, p, g)), eval_f(st, p, g)
+            eval_f(st, p, g, SpectralKernel(p, g).forward(st.u, st.eta)), eval_f(st, p, g)
         )
