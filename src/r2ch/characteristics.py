@@ -6,7 +6,8 @@ The Lagrangian representation is purely diagnostic: it consumes snapshots
 stored by the Eulerian solver.  Fields are evaluated off the grid as their
 band-limited Fourier series: a not-a-knot cubic spline in time of the rfft
 coefficients, summed at the query points by a type-2 nonuniform FFT with
-Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004).
+Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004).  The spline is
+the layer's own numpy ``_Spline``; its knot integrals are the checks' quadratures.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.interpolate import CubicSpline
 
 from .evolution import (
     DiagnosticRow,
@@ -36,6 +36,48 @@ _HALF_WIDTH = 12
 
 class SnapshotCadenceError(ValueError):
     """Stored snapshots are too sparse for trajectory reconstruction."""
+
+
+class _Spline:
+    """Not-a-knot cubic spline (de Boor 1978, ch. IV) along axis 0 of real or
+    complex ``y`` at 4+ increasing knots ``x``: slopes by two sweeps of scipy's
+    tridiagonal system, power-form ``coeffs`` and integrals from x[0] to knots."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x = x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.size < 4:
+            raise ValueError(f"a not-a-knot spline needs at least 4 knots, got {x.size}")
+        h = np.diff(x)
+        if not np.all(h > 0):
+            raise ValueError("spline knots must be strictly increasing")
+        self.y = y = np.asarray(y)
+        self.hc = hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
+        d = np.diff(y, axis=0) / hc
+        diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
+        upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
+        self.s = s = np.empty_like(d, shape=y.shape)
+        s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) / upper[0]
+        s[1:-1] = 3.0 * (hc[1:] * d[:-1] + hc[:-1] * d[1:])
+        s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
+        for i in range(1, x.size):  # forward sweep
+            r = lower[i - 1] / diag[i - 1]
+            diag[i], s[i] = diag[i] - r * upper[i - 1], s[i] - r * s[i - 1]
+        s[-1] /= diag[-1]
+        for i in range(x.size - 2, -1, -1):  # back substitution
+            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+        t = (s[:-1] + s[1:] - 2.0 * d) / hc
+        self.coeffs = (t / hc, (d - s[:-1]) / hc - t, s[:-1], y[:-1])
+
+    def integrals(self) -> np.ndarray:
+        y, s, hc = self.y, self.s, self.hc
+        steps = hc * (y[:-1] + y[1:]) / 2.0 + hc * hc * (s[:-1] - s[1:]) / 12.0
+        return np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
+
+    def __call__(self, t: float) -> np.ndarray:
+        i = min(max(int(np.searchsorted(self.x, t, side="right")) - 1, 0), self.x.size - 2)
+        c3, c2, c1, c0 = (c[i] for c in self.coeffs)
+        dt = t - self.x[i]
+        return ((c3 * dt + c2) * dt + c1) * dt + c0
 
 
 class _BandLimitedField:
@@ -58,7 +100,7 @@ class _BandLimitedField:
         # 1/n of the rfft and the fine-grid quadrature weight folded in
         scale = np.exp(m * m * self.tau) * math.sqrt(math.pi / self.tau) / n
         scale[-1] *= 0.5  # the Nyquist coefficient is shared by the modes +-n/2
-        self.spline_t = CubicSpline(times, sfft.rfft(fields, axis=1) * scale, axis=0)
+        self.spline_t = _Spline(times, sfft.rfft(fields, axis=1) * scale)
 
     def __call__(self, t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ch = self.spline_t(t)
@@ -150,10 +192,8 @@ def sample_along(traj: Trajectory, run: RunRecord, which: str = "rho") -> np.nda
 def jacobian_consistency(traj: Trajectory) -> float:
     """Max relative discrepancy between the variational Jacobian and
     exp(integral of u_x along the path), the integral taken by cubic-spline
-    quadrature of the recorded slope samples."""
-    sp = CubicSpline(traj.times, traj.u_x_along, axis=0)
-    integral = sp.antiderivative()(traj.times) - sp.antiderivative()(traj.times[0])
-    jac_quad = np.exp(integral)
+    quadrature of the recorded slope samples (at least 4)."""
+    jac_quad = np.exp(_Spline(traj.times, traj.u_x_along).integrals())
     return float(np.max(np.abs(traj.jac_ode - jac_quad) / np.abs(jac_quad)))
 
 
@@ -264,9 +304,7 @@ def ode_residuals(
 
 def gamma_decay_error(track: ExtremumTrack) -> float:
     """Max relative mismatch between the tracked density and the closed-form
-    decay gamma(0) * exp(-integral of M), quadrature by cubic spline."""
-    sp = CubicSpline(track.t, track.M)
-    integral = sp.antiderivative()(track.t) - sp.antiderivative()(track.t[0])
-    predicted = track.gamma[0] * np.exp(-integral)
+    decay gamma(0) * exp(-integral of M), by spline quadrature (4+ samples)."""
+    predicted = track.gamma[0] * np.exp(-_Spline(track.t, track.M).integrals())
     scale = np.maximum(np.abs(predicted), 1e-300)
     return float(np.max(np.abs(track.gamma - predicted) / scale))

@@ -151,7 +151,7 @@ class SpectralKernel:
         A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
         c = params.coriolis_margin
         ik, ik_helm = grid.ik, grid.ik_helm
-        self.grid = grid
+        self.params, self.grid = params, grid
         self.b_u2 = 0.5 * (3.0 - sigma)
         self.b_ux2 = 0.5 * sigma
         self.b_eta2 = 0.5 * c
@@ -229,13 +229,15 @@ def eval_f(
     with the second derivative of the kernel rewritten as dx p * dx u.
     Quadratic and cubic products are dealiased.  The sum is taken in
     spectral space from the state's transforms (``spectra``, when the caller
-    already holds them), with one rfft of the local part
-    L = (3-sigma)/2 u^2 - Omega rho^2 u and one irfft.  The inner bracket is
-    B + (1-2 Omega A) eta + (1-2 Omega A)/2, and the constant adds n/2 times
-    (1-2 Omega A) at k = 0.
+    already holds them, as ``kernel.forward(u, eta)`` of a kernel it reuses),
+    with one rfft of the local part L = (3-sigma)/2 u^2 - Omega rho^2 u and
+    one irfft.  The inner bracket is B + (1-2 Omega A) eta + (1-2 Omega A)/2,
+    and the constant adds n/2 times (1-2 Omega A) at k = 0.
     """
     if spectra is None:
         spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
+    elif spectra.kernel.params != params or spectra.kernel.grid is not grid:
+        raise ValueError("spectra were made by a SpectralKernel of other params or another grid")
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
     u, eta, cut = spectra.u, spectra.eta, grid.dealias_cut

@@ -1,10 +1,15 @@
 """Flow-map advection, extremum tracking and the Lagrangian ODE residuals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.interpolate import CubicSpline
 
 from r2ch import (
     ExtremumTrack,
@@ -22,6 +27,7 @@ from r2ch import (
     track_extremum,
     track_from_rows,
 )
+from r2ch.characteristics import _Spline
 from r2ch.evolution import RunRecord
 
 
@@ -33,6 +39,52 @@ def synthetic_run(u_of_tx, grid, times, params=None):
         u = u_of_tx(t, grid.x)
         rec.snapshots.append(FieldState(float(t), u, np.zeros(grid.n)))
     return rec
+
+
+class TestSpline:
+    """The layer's not-a-knot spline against scipy's CubicSpline."""
+
+    @pytest.mark.parametrize("m", [4, 5, 17, 300])
+    @pytest.mark.parametrize("complex_2d", [False, True])
+    def test_matches_cubic_spline(self, m, complex_2d):
+        rng = np.random.default_rng(m)
+        x = np.cumsum(rng.uniform(0.05, 1.0, m)) - 3.0
+        if complex_2d:
+            y = rng.normal(size=(m, 6)) + 1j * rng.normal(size=(m, 6))
+        else:
+            y = rng.normal(size=m)
+        ours, ref = _Spline(x, y), CubicSpline(x, y, axis=0)
+        tq = np.linspace(x[0], x[-1], 101)
+        got = np.stack([ours(t) for t in tq])
+        want = ref(tq)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        anti = ref.antiderivative()
+        want_int = anti(x) - anti(x[0])
+        assert np.max(np.abs(ours.integrals() - want_int)) <= 1e-12 * np.max(np.abs(want_int))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_needs_four_knots(self, m):
+        with pytest.raises(ValueError, match="at least 4 knots"):
+            _Spline(np.arange(float(m)), np.ones(m))
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_knots_must_increase(self, x):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _Spline(np.array(x), np.ones(4))
+
+
+@pytest.mark.parametrize("module", ["r2ch", "r2ch.cli"])
+def test_import_loads_no_scipy_interpolate(module):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(k for k in sys.modules if k.startswith('scipy.interpolate')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestAdvect:

@@ -18,6 +18,7 @@ from r2ch import (
     ProfileTerm,
     RegimeFlags,
     RunSettings,
+    SpectralKernel,
     build_grid,
     detect_blowup,
     deriv,
@@ -38,7 +39,6 @@ from r2ch.evolution import (
     energy_density_integral,
     make_diagnostic_row,
 )
-from r2ch.spectral import SpectralKernel
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -418,6 +418,37 @@ class TestTransformCounts:
         rec = evolution.run(st, p, g, settings)
         assert rec.steps_rejected >= 1 and rec.steps_accepted >= 1
         assert built == [p]
+
+    def test_held_spectra_reuse_one_kernel(self, monkeypatch):
+        p, g, st = self.problem()
+        want_f = eval_f(st, p, g)
+        want_row = make_diagnostic_row(st, 0.01, p, g, lemma31_ceiling=1.0)
+        kernel = SpectralKernel(p, g)
+        built = []
+        init = SpectralKernel.__init__
+
+        def counting(kernel, params, grid):
+            built.append(params)
+            init(kernel, params, grid)
+
+        monkeypatch.setattr(SpectralKernel, "__init__", counting)
+        for _ in range(5):
+            sp = kernel.forward(st.u, st.eta)
+            assert np.array_equal(eval_f(st, p, g, sp), want_f)
+            row = make_diagnostic_row(st, 0.01, p, g, lemma31_ceiling=1.0, spectra=sp)
+            assert row == want_row
+        assert built == []
+
+    def test_held_spectra_of_another_kernel_rejected(self):
+        p, g, st = self.problem()
+        other_p = PhysParams(A=0.5, sigma=2.0, mu=0.2, Omega=0.1)
+        other_g = build_grid(20.0, 256)
+        for kernel in (SpectralKernel(other_p, g), SpectralKernel(p, other_g)):
+            sp = kernel.forward(st.u, st.eta)
+            with pytest.raises(ValueError, match="other params or another grid"):
+                eval_f(st, p, g, sp)
+            with pytest.raises(ValueError, match="other params or another grid"):
+                make_diagnostic_row(st, 0.01, p, g, spectra=sp)
 
 
 class TestSharedGrid:
