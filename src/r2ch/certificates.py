@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import RunRecord, energy_density_integral, refined_extremum
+from .evolution import RunRecord, energy, refined_extremum
 from .model import FieldState, Grid, PhysParams
 from .characteristics import ExtremumTrack
 from .spectral import deriv
@@ -20,11 +20,6 @@ from .spectral import deriv
 # Grid sup norms are lower bounds on the true sup; where a sup norm enters the
 # conservative side of a bound it is inflated by this relative margin.
 SUP_NORM_INFLATION = 1e-6
-
-
-def energy(state: FieldState, params: PhysParams, grid: Grid) -> float:
-    """Conserved energy: integral of u^2 + u_x^2 + (1-2 Omega A)(rho-1)^2."""
-    return energy_density_integral(state, params, grid)
 
 
 def refined_sup_abs(field: np.ndarray, grid: Grid) -> float:
@@ -314,10 +309,10 @@ def rate_check(
     T_est: float,
     params: PhysParams,
     window: tuple[float, float] = (20.0, 200.0),
-    final_frac: float = 0.25,
     allow_unvalidated: bool = False,
 ) -> RateCheck:
-    """The product (T_est - t) * M(t) against its limit -2/sigma.
+    """The product (T_est - t) * M(t) against its limit -2/sigma, as its mean
+    over the last quarter of the window's time span.
 
     Proven only for sigma < 0 on the sup branch; for sigma >= 0 the analogous
     product is exploratory and must be requested explicitly, and comes back
@@ -337,7 +332,7 @@ def rate_check(
     if not np.any(mask):
         raise ValueError("no samples inside the rate window")
     tw = track.t[mask]
-    t_cut = tw[-1] - final_frac * (tw[-1] - tw[0])
+    t_cut = tw[-1] - 0.25 * (tw[-1] - tw[0])
     final = mask & (track.t >= t_cut)
     final_mean = float(np.mean(product[final]))
     target = -2.0 / params.sigma

@@ -21,6 +21,7 @@ from scipy import fft as sfft
 from .evolution import (
     DiagnosticRow,
     RunRecord,
+    _check_branch,
     _refine_parabolic,
     make_diagnostic_row,
     refined_extremum,
@@ -140,6 +141,8 @@ def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
     snapshot instants."""
     if len(run.snapshots) < 4:
         raise SnapshotCadenceError("need at least 4 snapshots for cubic time interpolation")
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     L = run.grid.half_length
     if np.any(seeds < -L) or np.any(seeds >= L):
@@ -201,6 +204,8 @@ def sup_transport_error(traj: Trajectory, run: RunRecord, stride: int = 1) -> fl
     """Max over recorded times of |sup over seeds of u_x(t, q) - grid sup u_x|,
     both sides refined by local quadratic interpolation.  With seeds covering
     the grid this verifies that the flow map transports the supremum."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     grid = run.grid
     worst = 0.0
     for it in range(0, traj.times.size, stride):
@@ -234,8 +239,7 @@ def track_extremum(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     """Per-snapshot location and value of the tracked u_x extremum, with the
     density and forcing sampled at the (sub-grid refined) extremizer: the
     diagnostic row of each snapshot, from its one spectral pass."""
-    if branch not in ("sup", "inf"):
-        raise ValueError(f"branch must be 'sup' or 'inf', got {branch!r}")
+    _check_branch(branch)
     kernel = SpectralKernel(run.params, run.grid)
     rows = [
         make_diagnostic_row(
@@ -249,7 +253,8 @@ def track_extremum(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
 def track_from_rows(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     """Extremum track assembled from the diagnostic rows (denser than
     snapshots near breaking, at no memory cost)."""
-    return _track(run.rows, "sup" if branch == "sup" else "inf")
+    _check_branch(branch)
+    return _track(run.rows, branch)
 
 
 def _track(rows: list[DiagnosticRow], side: str) -> ExtremumTrack:
@@ -266,15 +271,15 @@ def _track(rows: list[DiagnosticRow], side: str) -> ExtremumTrack:
     )
 
 
-def argmax_jump_mask(track: ExtremumTrack, grid: Grid, factor: float = 10.0) -> np.ndarray:
-    """True where the extremizer location moves by more than factor*dx between
+def argmax_jump_mask(track: ExtremumTrack, grid: Grid) -> np.ndarray:
+    """True where the extremizer location moves by more than 10 dx between
     consecutive samples (argmax switching between distant local extrema); the
     tracked value stays continuous there but its time derivative has a kink."""
     jump = np.zeros(track.t.size, dtype=bool)
     if track.t.size < 2:
         return jump
     dxi = np.abs(np.diff(track.xi))
-    big = dxi > factor * grid.dx
+    big = dxi > 10.0 * grid.dx
     jump[:-1] |= big
     jump[1:] |= big
     return jump

@@ -171,7 +171,6 @@ class RunSettings:
     snapshot_cadence: int = 1
     diag_stride: int = 10
     dense_diag_above: float = 20.0
-    adaptive: bool = True
 
     def __post_init__(self):
         for name in ("t_end", "tol", "dt_floor", "dt_max", "dt_init"):
@@ -238,9 +237,10 @@ class RunRecord:
     accepted_dt_min: float = math.nan
     accepted_dt_max: float = math.nan
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.rows])
+
+def _check_branch(branch: str) -> None:
+    if branch not in ("sup", "inf"):
+        raise ValueError(f"branch must be 'sup' or 'inf', got {branch!r}")
 
 
 def _refine_parabolic(xm, x0, xp, ym, y0, yp):
@@ -282,10 +282,11 @@ def _interp_at(y: np.ndarray, x: np.ndarray, xq: float) -> float:
     return float(y[i] + 0.5 * s * (y[ip] - y[im]) + 0.5 * s * s * (y[ip] - 2 * y[i] + y[im]))
 
 
-def energy_density_integral(
+def energy(
     state: FieldState, params: PhysParams, grid: Grid, ux: np.ndarray | None = None
 ) -> float:
-    """Discrete energy; ``ux`` is the state's slope when the caller holds it."""
+    """Conserved energy: integral of u^2 + u_x^2 + (1-2 Omega A)(rho-1)^2;
+    ``ux`` is the state's slope when the caller holds it."""
     if ux is None:
         ux = deriv(state.u, grid)
     return float(
@@ -314,7 +315,7 @@ def make_diagnostic_row(
     return DiagnosticRow(
         t=state.t,
         dt=dt,
-        E=energy_density_integral(state, params, grid, ux),
+        E=energy(state, params, grid, ux),
         sup_ux=float(sup_ux),
         inf_ux=float(inf_ux),
         x_at_sup_ux=float(x_sup),
@@ -350,96 +351,85 @@ def run(
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation.  Every termination is an event.
 
-    The run builds its own ``SpectralKernel``.  Each accepted state arrives
-    from ``step`` with its spectrum and slope; one rfft of its products gives
-    its diagnostic row and the k1 of every step attempted from it, and its
-    slope gives the max |u_x| of the blow-up test.
+    The run builds its own ``SpectralKernel``.  Each accepted state, the
+    initial one included, carries its spectrum and slope through one sequence:
+    snapshot at cadence, one rfft of its products (its row and the k1 of every
+    step tried from it), blow-up test on its slope, row at stride.  A gap to
+    t_end at or below dt_floor joins the step before it.
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
     kernel = SpectralKernel(params, grid)
     spectra = kernel.forward(initial.u, initial.eta)
     state = replace(initial, _transforms=(spectra.spectrum, spectra.ux))
-    dt = min(settings.dt_init, settings.dt_max, settings.t_end)
+    dt = used_dt = min(settings.dt_init, settings.dt_max, settings.t_end)
 
-    def finish(event: str, detail: str = "") -> RunRecord:
-        rec.termination = Termination(event, state.t, detail)
-        rec.final_state = _release(state)
-        return rec
-
-    def record(used_dt: float):
+    def record():
         rec.rows.append(
             make_diagnostic_row(state, used_dt, params, grid, lemma31_ceiling, spectra)
         )
 
-    def snapshot():
-        if settings.snapshot_cadence > 0 and rec.steps_accepted % settings.snapshot_cadence == 0:
-            rec.snapshots.append(state)
+    def finish(event: str, detail: str = "") -> RunRecord:
+        # a run that ends at t_end or at blow-up ends with its last state's
+        # row and, when it keeps snapshots, that state's snapshot
+        if event in ("blowup_detected", "reached_t_end"):
+            if not rec.rows or rec.rows[-1].t < state.t:
+                record()
+            if rec.snapshots and rec.snapshots[-1].t < state.t:
+                rec.snapshots.append(state)
+        rec.termination = Termination(event, state.t, detail)
+        rec.final_state = _release(state)
+        return rec
 
-    def floor_detail(what: str, step_dt: float, err: float) -> str:
+    def floor_detail(what: str, err: float) -> str:
         return (
-            f"{what} step of dt {step_dt!r} at t {state.t!r} (error estimate {err!r}, "
+            f"{what} step of dt {used_dt!r} at t {state.t!r} (error estimate {err!r}, "
             f"tol {settings.tol!r}) leaves next dt {dt!r} at or below dt_floor "
             f"{settings.dt_floor!r}"
         )
 
-    record(dt)
-    snapshot()
-    max_abs_ux = max(abs(rec.rows[0].sup_ux), abs(rec.rows[0].inf_ux))
-    if max_abs_ux >= settings.blowup_threshold:
-        return finish("blowup_detected")
+    while True:
+        if settings.snapshot_cadence > 0 and rec.steps_accepted % settings.snapshot_cadence == 0:
+            rec.snapshots.append(state)
+        if rec.steps_accepted and state.t < settings.t_end and dt < settings.dt_floor:
+            return finish("step_floor", floor_detail("accepted", err))
+        if spectra is None:
+            spectrum, ux = state._transforms
+            spectra = kernel.transform(spectrum, state.u, state.eta, ux)
+        max_abs_ux = float(max(spectra.ux.max(), -spectra.ux.min()))
+        if max_abs_ux >= settings.blowup_threshold:
+            return finish("blowup_detected")
+        if state.t >= settings.t_end:
+            return finish("reached_t_end")
+        if max_abs_ux > settings.dense_diag_above or rec.steps_accepted % settings.diag_stride == 0:
+            record()
 
-    k1 = None
-    while state.t < settings.t_end:
-        dt = min(dt, settings.t_end - state.t)
-        try:
-            if k1 is None:
-                # k1 fills the kernel's first stage row, which a retried step
-                # keeps; the state's products are not needed past it
-                k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
-                spectra = None
-                rec.rhs_evals += 1
-            new_state, err = step(state, dt, params, grid, k1=k1, kernel=kernel)
-        except NonFiniteState as exc:
-            return finish("invariant_violation", str(exc))
-        rec.rhs_evals += 5
-        used_dt = dt
-        if settings.adaptive and err > settings.tol:
+        # k1 fills the kernel's first stage row, which a retried step keeps;
+        # the state's products are not needed past it
+        k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
+        spectra = None
+        rec.rhs_evals += 1
+        while True:
+            gap = settings.t_end - state.t
+            dt = gap if gap - dt <= settings.dt_floor else dt
+            try:
+                new_state, err = step(state, dt, params, grid, k1=k1, kernel=kernel)
+            except NonFiniteState as exc:
+                return finish("invariant_violation", str(exc))
+            rec.rhs_evals += 5
+            used_dt = dt
+            factor = (settings.tol / max(err, 1e-300)) ** 0.2
+            if not err > settings.tol:
+                break
             rec.steps_rejected += 1
-            dt = max(
-                settings.dt_floor,
-                0.9 * dt * (settings.tol / max(err, 1e-300)) ** 0.2,
-            )
+            dt = max(settings.dt_floor, 0.9 * dt * factor)
             if dt <= settings.dt_floor:
-                return finish("step_floor", floor_detail("rejected", used_dt, err))
-            continue
+                return finish("step_floor", floor_detail("rejected", err))
         _release(state)
-        state, k1 = new_state, None
+        state = new_state
         rec.steps_accepted += 1
         rec.accepted_dt_min = min(used_dt, rec.accepted_dt_min)
         rec.accepted_dt_max = max(used_dt, rec.accepted_dt_max)
-        snapshot()
-        if settings.adaptive:
-            grow = 0.9 * (settings.tol / max(err, 1e-300)) ** 0.2
-            dt = min(settings.dt_max, dt * min(5.0, max(0.2, grow)))
-            if dt < settings.dt_floor:
-                return finish("step_floor", floor_detail("accepted", used_dt, err))
-
-        spectrum, ux = state._transforms
-        spectra = kernel.transform(spectrum, state.u, state.eta, ux)
-        max_abs_ux = float(max(ux.max(), -ux.min()))
-        dense = max_abs_ux > settings.dense_diag_above
-        if dense or rec.steps_accepted % settings.diag_stride == 0 or state.t >= settings.t_end:
-            record(used_dt)
-        if max_abs_ux >= settings.blowup_threshold:
-            if rec.rows[-1].t < state.t:
-                record(used_dt)
-            if rec.snapshots and rec.snapshots[-1].t < state.t:
-                rec.snapshots.append(state)
-            return finish("blowup_detected")
-
-    if rec.snapshots and rec.snapshots[-1].t < state.t:
-        rec.snapshots.append(state)
-    return finish("reached_t_end")
+        dt = min(settings.dt_max, dt * min(5.0, max(0.2, 0.9 * factor)))
 
 
 @dataclass(frozen=True)
@@ -495,6 +485,7 @@ def estimate_T(
     Near breaking 1/M is asymptotically linear with slope sigma/2; a fitted
     slope of the wrong sign marks the fit unreliable.
     """
+    _check_branch(branch)
     lo, hi = window
     t = np.array([r.t for r in samples])
     M = np.array([r.sup_ux if branch == "sup" else r.inf_ux for r in samples])

@@ -90,10 +90,6 @@ class Grid:
         """First rfft index the two-thirds rule zeroes: modes |m| <= n/3 stay."""
         return self.n // 3 + 1
 
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        return np.arange(self.k.size) < self.dealias_cut
-
     @cached_property
     def ik(self) -> np.ndarray:
         """Multiplier of d/dx; the Nyquist mode has no well-defined odd derivative."""
@@ -176,7 +172,7 @@ class ProfileTerm:
         return self.amp * np.exp(-(s**2))
 
     def evaluate_dx(self, x: np.ndarray) -> np.ndarray:
-        """Analytic spatial derivative, used by tests and certificates."""
+        """Analytic spatial derivative (``InitialDataSpec.u0_dx``), a test oracle."""
         s = (x - self.center) / self.width
         if self.kind == "slope_bump":
             return self.amp * np.exp(-(s**2)) * (1.0 - 2.0 * s**2)

@@ -19,7 +19,7 @@ from r2ch import (
     PhysParams,
     ProfileTerm,
     RegimeFlags,
-    RunSettings,
+    SpectralKernel,
     advect,
     argmax_jump_mask,
     build_certificate,
@@ -38,7 +38,6 @@ from r2ch import (
     ode_residuals,
     rate_check,
     rhs,
-    run,
     sample_along,
     sup_transport_error,
     synthesize,
@@ -46,6 +45,7 @@ from r2ch import (
     thm42_certificate,
     thm42_constant_N,
     track_extremum,
+    step,
     track_from_rows,
 )
 from r2ch import crosscheck
@@ -113,14 +113,14 @@ def test_criterion_03_energy_conservation(accept, smooth_run):
 def test_criterion_04_integrator_order(accept):
     params, grid, spec = smooth_problem()
     state0 = synthesize(spec, grid)
+    kernel = SpectralKernel(params, grid)
 
     def final_u(dt):
-        settings = RunSettings(
-            t_end=1.0, dt_init=dt, dt_max=dt, adaptive=False,
-            snapshot_cadence=0, diag_stride=10**9,
-        )
-        rec = run(state0, params, grid, settings)
-        return rec.final_state.u
+        # fixed dt through the public step; the last step ends at t = 1
+        state = state0
+        while state.t < 1.0:
+            state, _ = step(state, min(dt, 1.0 - state.t), params, grid, kernel=kernel)
+        return state.u
 
     ref = final_u(2e-3)
     errs = [float(np.max(np.abs(final_u(dt) - ref))) for dt in (0.04, 0.02, 0.01)]

@@ -24,6 +24,7 @@ from r2ch import (
     jacobian_consistency,
     ode_residuals,
     sample_along,
+    sup_transport_error,
     track_extremum,
     track_from_rows,
 )
@@ -144,6 +145,21 @@ class TestAdvect:
         with pytest.raises(SnapshotCadenceError):
             advect(np.array([0.0]), rec)
 
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_substeps_must_be_positive(self, substeps):
+        g = build_grid(10.0, 256)
+        rec = synthetic_run(lambda t, x: np.sin(math.pi * x / 10.0), g, np.linspace(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="substeps"):
+            advect(np.array([0.0]), rec, substeps=substeps)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_sup_transport_error_stride_must_be_positive(self, stride):
+        g = build_grid(10.0, 256)
+        rec = synthetic_run(lambda t, x: np.sin(math.pi * x / 10.0), g, np.linspace(0.0, 1.0, 11))
+        traj = advect(g.x[1:].copy(), rec)
+        with pytest.raises(ValueError, match="stride"):
+            sup_transport_error(traj, rec, stride=stride)
+
     def test_seed_bounds(self):
         g = build_grid(10.0, 256)
         times = np.linspace(0.0, 1.0, 11)
@@ -195,6 +211,13 @@ class TestExtremumTrack:
         assert np.all(sup.M > 0) and np.all(inf.M < 0)
         with pytest.raises(ValueError):
             track_extremum(rec, "median")
+
+    @pytest.mark.parametrize("branch", ["max", "min", "Sup", ""])
+    def test_track_from_rows_unknown_branch(self, branch):
+        p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
+        rec = RunRecord(params=p, grid=build_grid(10.0, 64), settings=RunSettings(t_end=1.0))
+        with pytest.raises(ValueError, match="branch"):
+            track_from_rows(rec, branch)
 
     def test_argmax_jump_mask(self):
         g = build_grid(10.0, 512)

@@ -358,6 +358,18 @@ class TestCommands:
         assert (tmp_path / "sw" / "sweep_0000" / "verdict.json").exists()
         assert (tmp_path / "sw" / "sweep_0001" / "verdict.json").exists()
 
+    def test_sweep_jobs_2_matches_jobs_1(self, tmp_path):
+        # the process-pool path writes the bytes of the sequential one
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.sigma = 0.5, 2.0\n")
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+        names = ["summary.csv"] + [
+            f"sweep_000{i}/{f}" for i in (0, 1) for f in ("verdict.json", "diagnostics.csv")
+        ]
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_sweep_seed_list(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         seeds = tmp_path / "seeds.txt"

@@ -36,9 +36,11 @@ from r2ch.evolution import (
     NonFiniteState,
     _interp_at,
     _rhs_arrays,
-    energy_density_integral,
+    energy,
     make_diagnostic_row,
 )
+
+from conftest import smooth_problem
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -556,7 +558,7 @@ class TestEnergy:
         expect = math.sqrt(math.pi / 2.0) * (
             a**2 * w + a**2 / w + p.coriolis_margin * b**2 * we
         )
-        assert energy_density_integral(st, p, g) == pytest.approx(expect, rel=1e-10)
+        assert energy(st, p, g) == pytest.approx(expect, rel=1e-10)
 
     def test_short_run_conserves(self):
         p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
@@ -623,6 +625,18 @@ class TestRunTermination:
         rec = run(st, p, g, settings)
         assert rec.termination.event == "step_floor"
         assert "dt_floor" in rec.termination.detail
+
+    def test_lands_on_t_end(self):
+        # ten steps of 0.02 sum to 0.19999999999999998; the 2.8e-17 left over
+        # joins the tenth step rather than becoming an eleventh step after
+        # which the controller leaves dt below dt_floor
+        p, g, spec = smooth_problem()
+        settings = RunSettings(t_end=0.2, dt_init=0.02, dt_max=0.02)
+        rec = run(synthesize(spec, g), p, g, settings)
+        assert rec.termination.event == "reached_t_end"
+        assert rec.steps_accepted == 10
+        assert rec.rows[-1].t == 0.2
+        assert rec.accepted_dt_min > settings.dt_floor
 
     def test_snapshot_cadence_zero_disables(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
@@ -725,6 +739,12 @@ class TestEstimateT:
         rows = [make_row(0.0, sup_ux=1.0), make_row(1.0, sup_ux=2.0)]
         with pytest.raises(FitWindowError):
             estimate_T(rows, p, "sup", (20.0, 100.0))
+
+    @pytest.mark.parametrize("branch", ["max", "min", "Sup", ""])
+    def test_unknown_branch_raises(self, branch):
+        p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
+        with pytest.raises(ValueError, match="branch"):
+            estimate_T(self.synthetic(1.0, 2.0, "inf"), p, branch, (2.0, 1e4))
 
 
 class TestDiagnosticRow:

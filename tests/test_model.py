@@ -84,12 +84,6 @@ class TestGrid:
         assert g.k[1] == pytest.approx(math.pi / 20.0)
         assert g.k.size == 2049
 
-    def test_dealias_mask(self):
-        g = build_grid(10.0, 64)
-        m = g.dealias_mask
-        assert m[: 64 // 3 + 1].all()
-        assert not m[64 // 3 + 1 :].any()
-
     def test_cached_multipliers(self):
         g = build_grid(10.0, 64)
         assert "ik" not in vars(g)  # built on first use, not by build_grid

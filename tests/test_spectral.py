@@ -157,13 +157,13 @@ class TestForcing:
         """The chain bounding |f| through C^2/2 proceeds term by term; each
         intermediate estimate must hold for a concrete smooth state."""
         from r2ch import constant_C
-        from r2ch.evolution import energy_density_integral
+        from r2ch.evolution import energy
 
         p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
         u = 0.3 * np.exp(-((grid.x / 2.0) ** 2))
         eta = 0.1 * np.exp(-(((grid.x - 1) / 2.0) ** 2))
         st = FieldState(0.0, u, eta)
-        E0 = energy_density_integral(st, p, grid)
+        E0 = energy(st, p, grid)
         rho_sup = float(np.max(st.rho))
         c = p.coriolis_margin
 
