@@ -4,10 +4,12 @@ two-component Camassa-Holm shallow-water system on a truncated line.
 Layers:
 
 - model: parameters, grid, field state, initial-data profiles
-- spectral: periodic Helmholtz-kernel convolutions and the forcing functional
+- spectral: spectral derivative, the batched stepping kernel, the forcing field
 - evolution: adaptive embedded Runge-Kutta time stepping and diagnostics
 - characteristics: Lagrangian trajectories, extremum tracking, ODE residuals
 - certificates: closed-form blow-up certificates and runtime monitors
+- crosscheck: the oracles (second transcriptions, single-field kernel
+  convolutions, quadrature oracle) and the selftest suite
 - cli: batch front end (run | certify | rate | sweep | selftest)
 """
 
@@ -24,15 +26,7 @@ from .model import (
     classify_regime,
     synthesize,
 )
-from .spectral import (
-    SpectralKernel,
-    deriv,
-    direct_conv_oracle,
-    eval_f,
-    helmholtz_conv,
-    helmholtz_conv_dx,
-    periodized_kernel,
-)
+from .spectral import SpectralKernel, deriv, eval_f
 from .evolution import (
     BlowupEvent,
     BreakingTimeFit,
@@ -79,6 +73,12 @@ from .certificates import (
     thm41_certificate,
     thm42_certificate,
     thm42_constant_N,
+)
+from .crosscheck import (
+    direct_conv_oracle,
+    helmholtz_conv,
+    helmholtz_conv_dx,
+    periodized_kernel,
 )
 
 __version__ = "0.1.0"

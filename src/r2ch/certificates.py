@@ -209,9 +209,10 @@ def build_certificate(
 ) -> Certificate:
     """All closed-form constants and theorem applicability verdicts for one
     configuration, computed from the initial data."""
-    E0 = energy(state0, params, grid)
+    u0x = deriv(state0.u, grid)
+    E0 = energy(state0, params, grid, u0x)
     rho0_sup = refined_sup_abs(state0.rho, grid) * (1.0 + SUP_NORM_INFLATION)
-    u0x_sup = refined_sup_abs(deriv(state0.u, grid), grid) * (1.0 + SUP_NORM_INFLATION)
+    u0x_sup = refined_sup_abs(u0x, grid) * (1.0 + SUP_NORM_INFLATION)
     C = constant_C(E0, rho0_sup, params)
     ceiling = (
         lemma31_ceiling(u0x_sup, rho0_sup, C, params) if params.sigma > 0 else None

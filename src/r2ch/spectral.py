@@ -1,13 +1,10 @@
-"""Spectral differentiation, Helmholtz Green-kernel convolutions, the
-stepping kernel with a state's batched transforms, and the forcing field of
-the differentiated velocity equation.
+"""Spectral differentiation, the stepping kernel with a state's batched
+transforms, and the forcing field of the differentiated velocity equation.
 
-The canonical path applies Fourier multipliers (ik for the derivative,
-1/(1+k^2) for the kernel p(x) = exp(-|x|)/2), read-only on the grid.  An
-independent physical-space quadrature against the closed-form periodized
-kernel serves as the test oracle; the two derivations share nothing but the
-grid.  The single-field kernels ``helmholtz_conv``, ``helmholtz_conv_dx`` and
-``dealias`` are kept as oracles for the batched path of ``SpectralKernel``.
+Derivatives and the kernel p(x) = exp(-|x|)/2 of (1 - d^2/dx^2)^{-1} act as
+Fourier multipliers (ik and 1/(1+k^2)), read-only on the grid.  This module
+holds only the production path; the single-field convolutions and the
+physical-space quadrature they are checked against live in ``crosscheck``.
 """
 
 from __future__ import annotations
@@ -31,77 +28,6 @@ def deriv(field: np.ndarray, grid: Grid) -> np.ndarray:
     fh = sfft.rfft(field)
     fh *= grid.ik
     return sfft.irfft(fh, n=grid.n)
-
-
-def helmholtz_conv(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Convolution with the kernel of (1 - d^2/dx^2)^{-1}, multiplier 1/(1+k^2)."""
-    _check(field, grid)
-    fh = sfft.rfft(field)
-    fh /= grid.helm
-    return sfft.irfft(fh, n=grid.n)
-
-
-def helmholtz_conv_dx(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """d/dx of the Helmholtz convolution, multiplier ik/(1+k^2)."""
-    _check(field, grid)
-    fh = sfft.rfft(field)
-    fh *= grid.ik_helm
-    return sfft.irfft(fh, n=grid.n)
-
-
-def dealias(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Two-thirds rule: zero the top third of modes of a pointwise product."""
-    _check(field, grid)
-    fh = sfft.rfft(field)
-    fh[grid.dealias_cut :] = 0.0
-    return sfft.irfft(fh, n=grid.n)
-
-
-def periodized_kernel(x: np.ndarray, grid: Grid, kind: str = "p") -> np.ndarray:
-    """Closed-form 2L-periodization of p = exp(-|x|)/2 or of its derivative.
-
-    On |x| <= L:  p_L(x) = cosh(L - |x|) / (2 sinh L),
-                  p_L'(x) = -sign(x) sinh(L - |x|) / (2 sinh L).
-    """
-    L = grid.half_length
-    ax = np.abs(x)
-    if kind == "p":
-        return np.cosh(L - ax) / (2.0 * np.sinh(L))
-    if kind == "dxp":
-        return -np.sign(x) * np.sinh(L - ax) / (2.0 * np.sinh(L))
-    raise ValueError(f"unknown kernel tag {kind!r}")
-
-
-def direct_conv_oracle(field: np.ndarray, grid: Grid, kernel: str = "p") -> np.ndarray:
-    """Physical-space convolution oracle: trapezoid rule against the closed-form
-    periodized kernel, with the Euler-Maclaurin corner correction.
-
-    The kernel has a derivative corner (kind "p") or a jump (kind "dxp") at
-    lag zero, which sits exactly on a node; the leading dx^2 quadrature error
-    there is known in closed form and is subtracted, leaving O(dx^4).
-    """
-    _check(field, grid)
-    # kernel sampled at the n distinct lags, wrapped into [-L, L)
-    lags = grid.dx * np.arange(grid.n)
-    lags = (lags + grid.half_length) % (2.0 * grid.half_length) - grid.half_length
-    w = periodized_kernel(lags, grid, kernel)
-    # circular convolution done directly (no FFT) via a doubled signal
-    out = grid.dx * np.convolve(np.concatenate([field, field]), w)[grid.n : 2 * grid.n]
-    if kernel == "p":
-        # integrand slope jumps by -f(x) across the corner
-        out -= grid.dx**2 / 12.0 * field
-    else:
-        # kernel value jumps by -1 across lag zero; correction needs f'
-        fprime = _central_deriv4(field, grid.dx)
-        out += grid.dx**2 / 12.0 * fprime
-    return out
-
-
-def _central_deriv4(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order centered first derivative on the periodic grid (no FFT)."""
-    fp1, fm1 = np.roll(f, -1), np.roll(f, 1)
-    fp2, fm2 = np.roll(f, -2), np.roll(f, 2)
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * dx)
 
 
 @dataclass(frozen=True)

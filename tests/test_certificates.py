@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from r2ch import (
@@ -16,6 +17,8 @@ from r2ch import (
     build_certificate,
     build_grid,
     constant_C,
+    deriv,
+    energy,
     k2_bound,
     lemma31_ceiling,
     monitor_bounds,
@@ -26,6 +29,7 @@ from r2ch import (
     thm42_constant_N,
 )
 from r2ch import crosscheck
+from r2ch.certificates import SUP_NORM_INFLATION, refined_sup_abs
 from r2ch.evolution import DiagnosticRow, RunRecord
 
 
@@ -223,6 +227,35 @@ class TestBuildCertificate:
         assert cert.thm41 is not None
         assert cert.thm42 is None
         assert cert.rate_target == 2.0
+
+    def test_initial_slope_computed_once(self, monkeypatch):
+        # E0 and the slope's sup norm share one u_x: one rfft and one irfft
+        # (sigma > 0 without M_assumed, so no theorem certificate transforms)
+        p = PhysParams(A=0.5, sigma=2.0, mu=0.1, Omega=0.1)
+        g = build_grid(20.0, 256)
+        spec = InitialDataSpec(
+            u_terms=(ProfileTerm("gaussian_bump", 0.3, 2.0, 0.0),),
+            eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
+        )
+        st0 = synthesize(spec, g)
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for attr in ("rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, attr, counting(getattr(scipy.fft, attr)))
+        cert = build_certificate(st0, p, g)
+        assert calls == ["rfft", "irfft"]
+        # the same bits as each quantity computed on its own
+        assert cert.E0 == energy(st0, p, g)
+        assert cert.u0x_sup_norm == refined_sup_abs(deriv(st0.u, g), g) * (
+            1.0 + SUP_NORM_INFLATION
+        )
 
 
 def fabricated_run(params, rows):

@@ -19,11 +19,11 @@ from r2ch.cli import (
     parse_config,
     read_diagnostics_csv,
     read_snapshot,
-    selftest_checks,
     write_diagnostics_csv,
     write_json,
     write_snapshot,
 )
+from r2ch.crosscheck import selftest_checks
 from r2ch.evolution import DiagnosticRow
 
 BASIC = """\
@@ -410,6 +410,15 @@ class TestCommands:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("config error: sweep point 1:") and "abc" in err
+        assert not (tmp_path / "sw").exists()  # no point ran
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_sweep_jobs_below_1_exit_4(self, tmp_path, capsys, jobs):
+        cfg = self.write_cfg(tmp_path, BASIC)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"), "--jobs", jobs])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--jobs" in err
         assert not (tmp_path / "sw").exists()  # no point ran
 
 

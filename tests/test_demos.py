@@ -1,19 +1,30 @@
-"""The demos are scripts no other test runs: every name they import from
-r2ch must still resolve."""
+"""The demos and the README's library tour are code no other test runs:
+every name they import from r2ch must still resolve."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+
+def python_source(path):
+    """The script, or the ``python`` code blocks of a Markdown file."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        return "\n".join(re.findall(r"^```python\n(.*?)^```", text, re.M | re.S))
+    return text
 
 
 def r2ch_imports(path):
     """(module, name) for each name the script imports from r2ch; name is
     None for a plain ``import r2ch...``."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(python_source(path), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "r2ch":
             yield from ((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -24,7 +35,7 @@ def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", DEMOS + [README], ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
     pairs = list(r2ch_imports(path))
     assert pairs, f"{path.name} imports nothing from r2ch"

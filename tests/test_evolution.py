@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 
 import r2ch.evolution as evolution
+from r2ch import crosscheck
 from r2ch import (
     BlowupEvent,
     FieldState,
@@ -127,43 +128,6 @@ class TestRhsOracle:
                 rhs(FieldState(0.0, u, np.zeros(g.n)), p, g)
 
 
-def _rhs_six_products(u, eta, params, grid):
-    """The physics oracle: the tendency from the six dealiased products u^2,
-    u_x^2, eta^2, rho^2 u, rho^2 u_x and u eta, one transform per field.
-    Returns (du, deta, u_x)."""
-    A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
-    c = params.coriolis_margin
-    n, k = grid.n, grid.k
-    ik = 1j * k
-    ik[-1] = 0.0
-    mask = np.arange(k.size) <= n // 3
-    uh = scipy.fft.rfft(u)
-    etah = scipy.fft.rfft(eta)
-    ux = scipy.fft.irfft(uh * ik, n=n)
-    rho2 = (1.0 + eta) ** 2
-    u2h = scipy.fft.rfft(u * u)
-    ux2h = scipy.fft.rfft(ux * ux)
-    eta2h = scipy.fft.rfft(eta * eta)
-    r2uh = scipy.fft.rfft(rho2 * u)
-    r2uxh = scipy.fft.rfft(rho2 * ux)
-    uetah = scipy.fft.rfft(u * eta)
-    for h in (u2h, ux2h, eta2h, r2uh, r2uxh, uetah):
-        h[~mask] = 0.0
-    bracket_h = (
-        (mu - A) * uh
-        + 0.5 * (3.0 - sigma) * u2h
-        + 0.5 * sigma * ux2h
-        + c * (etah + 0.5 * eta2h)
-        - Om * r2uh
-    )
-    helm = 1.0 + k**2
-    duh = mu * ik * uh - 0.5 * sigma * ik * u2h - (ik / helm) * bracket_h + (
-        Om / helm
-    ) * r2uxh
-    detah = -ik * uetah - ik * uh
-    return scipy.fft.irfft(duh, n=n), scipy.fft.irfft(detah, n=n), ux
-
-
 def _tendency_unbatched(uh, etah, u, eta, ux, params, grid):
     """Tendency spectra from the four products u^2, rho^2 u_x, u eta and the
     bracket B, one transform per field, each floating-point expression in the
@@ -271,9 +235,10 @@ def _steep_state(n):
 
 
 class TestTendencyOracle:
-    """The four-product kernel against the six-product formula on the same
-    samples.  (A stage's samples come from an irfft of its spectrum; the
-    stage path is checked bitwise in ``TestBatchedRhs``.)"""
+    """The four-product kernel against the six-product transcription
+    ``crosscheck.tendency_alt`` on the same samples.  (A stage's samples come
+    from an irfft of its spectrum; the stage path is checked bitwise in
+    ``TestBatchedRhs``.)"""
 
     @pytest.mark.parametrize("n", [256, 4096, 2**14])
     def test_matches_six_products(self, n):
@@ -282,7 +247,7 @@ class TestTendencyOracle:
         else:
             g, u, eta = _steep_state(n)
         p = PhysParams(A=0.5, sigma=-1.0, mu=0.3, Omega=0.1)
-        du, deta, _ = _rhs_six_products(u, eta, p, g)
+        du, deta = crosscheck.tendency_alt(u, eta, p.A, p.sigma, p.mu, p.Omega, g.half_length)
         scale = np.max(np.abs(du))
         td = rhs(FieldState(0.0, u, eta), p, g)
         assert np.max(np.abs(td.du_dt - du)) <= 1e-14 * scale
@@ -291,7 +256,7 @@ class TestTendencyOracle:
 
 class TestFourierStep:
     """The Fourier-space step against a physical-space Cash-Karp step on the
-    six-product tendency."""
+    six-product tendency ``crosscheck.tendency_alt``."""
 
     @staticmethod
     def physical_step(u, eta, dt, p, g):
@@ -301,7 +266,7 @@ class TestFourierStep:
             for j, a in enumerate(evolution._CK_A[i]):
                 ui += dt * a * ku[j]
                 ei += dt * a * keta[j]
-            du, deta, _ = _rhs_six_products(ui, ei, p, g)
+            du, deta = crosscheck.tendency_alt(ui, ei, p.A, p.sigma, p.mu, p.Omega, g.half_length)
             ku.append(du)
             keta.append(deta)
         u5 = u + dt * sum(b * kj for b, kj in zip(evolution._CK_B5, ku))
