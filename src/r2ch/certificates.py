@@ -76,9 +76,14 @@ class Thm41Certificate:
 
 
 def thm41_certificate(
-    u0: np.ndarray, grid: Grid, C: float, params: PhysParams
+    u0: np.ndarray,
+    grid: Grid,
+    C: float,
+    params: PhysParams,
+    u0x: np.ndarray | None = None,
 ) -> Thm41Certificate | None:
-    """Steep-positive-slope blow-up certificate for sigma < 0.
+    """Steep-positive-slope blow-up certificate for sigma < 0; ``u0x`` is the
+    slope of ``u0`` when the caller holds it.
 
     Returns None when no grid point witnesses u0'(x0) > C/sqrt(-sigma).
 
@@ -111,7 +116,8 @@ def thm41_certificate(
     if params.sigma >= 0:
         raise ValueError("this certificate requires sigma < 0")
     sigma = params.sigma
-    u0x = deriv(u0, grid)
+    if u0x is None:
+        u0x = deriv(u0, grid)
     x0, slope = refined_extremum(u0x, grid.x, "max")
     threshold = C / math.sqrt(-sigma)
     if not slope > threshold:
@@ -161,15 +167,22 @@ class Thm42Certificate:
 
 
 def thm42_certificate(
-    u0: np.ndarray, grid: Grid, N: float, E0: float, M_assumed: float = math.nan
+    u0: np.ndarray,
+    grid: Grid,
+    N: float,
+    E0: float,
+    M_assumed: float = math.nan,
+    u0x: np.ndarray | None = None,
 ) -> Thm42Certificate:
     """Cubic-moment blow-up condition: m0 = integral of u0_x^3 must lie at or
-    below -sqrt(2 E0 N); the lifespan bound needs strict inequality."""
+    below -sqrt(2 E0 N); the lifespan bound needs strict inequality.  ``u0x``
+    is the slope of ``u0`` when the caller holds it."""
     if not E0 > 0:
         raise ValueError("E0 must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    u0x = deriv(u0, grid)
+    if u0x is None:
+        u0x = deriv(u0, grid)
     m0 = float(grid.dx * np.sum(u0x**3))
     s = math.sqrt(2.0 * E0 * N)
     condition = m0 <= -s
@@ -208,7 +221,8 @@ def build_certificate(
     M_assumed: float | None = None,
 ) -> Certificate:
     """All closed-form constants and theorem applicability verdicts for one
-    configuration, computed from the initial data."""
+    configuration, computed from the initial data: one slope, one rfft and
+    one irfft."""
     u0x = deriv(state0.u, grid)
     E0 = energy(state0, params, grid, u0x)
     rho0_sup = refined_sup_abs(state0.rho, grid) * (1.0 + SUP_NORM_INFLATION)
@@ -218,12 +232,12 @@ def build_certificate(
         lemma31_ceiling(u0x_sup, rho0_sup, C, params) if params.sigma > 0 else None
     )
     thm41 = (
-        thm41_certificate(state0.u, grid, C, params) if params.sigma < 0 else None
+        thm41_certificate(state0.u, grid, C, params, u0x) if params.sigma < 0 else None
     )
     thm42 = None
     if params.sigma == 1.0 and params.mu == 0.0 and M_assumed is not None and E0 > 0:
         N = thm42_constant_N(E0, M_assumed, params)
-        thm42 = thm42_certificate(state0.u, grid, N, E0, M_assumed)
+        thm42 = thm42_certificate(state0.u, grid, N, E0, M_assumed, u0x)
     return Certificate(
         E0=E0,
         rho0_sup=rho0_sup,

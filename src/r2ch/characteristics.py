@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .evolution import (
     DiagnosticRow,
@@ -41,8 +40,9 @@ class SnapshotCadenceError(ValueError):
 
 class _Spline:
     """Not-a-knot cubic spline (de Boor 1978, ch. IV) along axis 0 of real or
-    complex ``y`` at 4+ increasing knots ``x``: slopes by two sweeps of scipy's
-    tridiagonal system, power-form ``coeffs`` and integrals from x[0] to knots."""
+    complex ``y`` at 4+ increasing knots ``x``: slopes by two sweeps of the
+    tridiagonal system scipy's ``CubicSpline`` solves, power-form ``coeffs``
+    and integrals from x[0] to knots."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x = np.asarray(x, dtype=float)
@@ -101,11 +101,11 @@ class _BandLimitedField:
         # 1/n of the rfft and the fine-grid quadrature weight folded in
         scale = np.exp(m * m * self.tau) * math.sqrt(math.pi / self.tau) / n
         scale[-1] *= 0.5  # the Nyquist coefficient is shared by the modes +-n/2
-        self.spline_t = _Spline(times, sfft.rfft(fields, axis=1) * scale)
+        self.spline_t = _Spline(times, np.fft.rfft(fields, axis=1) * scale)
 
     def __call__(self, t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ch = self.spline_t(t)
-        fine = sfft.irfft(np.stack([ch, self.grid.ik * ch]), n=self.n_fine)
+        fine = np.fft.irfft(np.stack([ch, self.grid.ik * ch]), n=self.n_fine)
         W, L, h = _HALF_WIDTH, self.grid.half_length, 2.0 * math.pi / self.n_fine
         fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)  # periodic halo
         theta = ((q + L) % (2.0 * L)) * (math.pi / L)

@@ -3,13 +3,14 @@
 Every closed-form certificate formula and the tendency have a second
 transcription here, written term by term from the displayed formulas and
 structured unlike ``certificates`` and ``evolution`` (explicit term lists,
-no shared helpers, numpy's FFT); none uses those modules.  The single-field
-convolutions ``helmholtz_conv`` and ``helmholtz_conv_dx`` check the batched
-``SpectralKernel``, and ``direct_conv_oracle`` (a physical-space quadrature
-against the closed-form periodized kernel, sharing only the grid) checks
-them.  ``selftest_checks`` runs the checks, looking the production functions
-up in their modules at call time; it and the tests require 1e-12 relative
-for the formulas and 1e-13 of max |du/dt| for the tendency.
+no shared helpers, one unbatched transform per product); none uses those
+modules.  The single-field convolutions ``helmholtz_conv`` and
+``helmholtz_conv_dx`` check the batched ``SpectralKernel``, and
+``direct_conv_oracle`` (a physical-space quadrature against the closed-form
+periodized kernel, sharing only the grid) checks them.  ``selftest_checks``
+runs the checks, looking the production functions up in their modules at
+call time; it and the tests require 1e-12 relative for the formulas and
+1e-13 of max |du/dt| for the tendency.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import certificates as cert_mod, evolution
 from .model import (
@@ -157,17 +157,17 @@ def tendency_alt(
 def helmholtz_conv(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Convolution with the kernel of (1 - d^2/dx^2)^{-1}, multiplier 1/(1+k^2)."""
     _check(field, grid)
-    fh = sfft.rfft(field)
+    fh = np.fft.rfft(field)
     fh /= grid.helm
-    return sfft.irfft(fh, n=grid.n)
+    return np.fft.irfft(fh, n=grid.n)
 
 
 def helmholtz_conv_dx(field: np.ndarray, grid: Grid) -> np.ndarray:
     """d/dx of the Helmholtz convolution, multiplier ik/(1+k^2)."""
     _check(field, grid)
-    fh = sfft.rfft(field)
+    fh = np.fft.rfft(field)
     fh *= grid.ik_helm
-    return sfft.irfft(fh, n=grid.n)
+    return np.fft.irfft(fh, n=grid.n)
 
 
 def periodized_kernel(x: np.ndarray, grid: Grid, kind: str = "p") -> np.ndarray:

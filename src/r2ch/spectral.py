@@ -2,7 +2,9 @@
 transforms, and the forcing field of the differentiated velocity equation.
 
 Derivatives and the kernel p(x) = exp(-|x|)/2 of (1 - d^2/dx^2)^{-1} act as
-Fourier multipliers (ik and 1/(1+k^2)), read-only on the grid.  This module
+Fourier multipliers (ik and 1/(1+k^2)), read-only on the grid.  Every
+transform is a ``numpy.fft`` rfft or irfft along the last axis, batched over
+a state's fields; numpy >= 2.0 runs them in its C++ pocketfft.  This module
 holds only the production path; the single-field convolutions and the
 physical-space quadrature they are checked against live in ``crosscheck``.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .model import FieldState, Grid, PhysParams
 
@@ -25,9 +26,9 @@ def _check(field: np.ndarray, grid: Grid) -> None:
 def deriv(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral d/dx; exact for resolved trigonometric modes."""
     _check(field, grid)
-    fh = sfft.rfft(field)
+    fh = np.fft.rfft(field)
     fh *= grid.ik
-    return sfft.irfft(fh, n=grid.n)
+    return np.fft.irfft(fh, n=grid.n)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class SpectralKernel:
             np.multiply(a, b, out=term)
             term *= coeff
             op(bracket, term, out=bracket)
-        products = sfft.rfft(rows[:4])
+        products = np.fft.rfft(rows[:4])
         products[:, self.grid.dealias_cut :] = 0.0
         return StateSpectra(self, spectrum, u, eta, ux, products)
 
@@ -122,7 +123,7 @@ class SpectralKernel:
         ``(3, n/2+1)`` array ``rows``: row 2 becomes ``ik uh``, one irfft gives
         u, eta and u_x, and ``transform`` adds the products.  2 FFT calls."""
         np.multiply(self.grid.ik, rows[0], out=rows[2])
-        u, eta, ux = sfft.irfft(rows, n=self.grid.n)
+        u, eta, ux = np.fft.irfft(rows, n=self.grid.n)
         return self.transform(rows[:2], u, eta, ux)
 
     def forward(self, u: np.ndarray, eta: np.ndarray) -> StateSpectra:
@@ -134,8 +135,8 @@ class SpectralKernel:
         """
         fields = self.product_rows[4:]
         fields[0], fields[1] = u, eta
-        spectrum = sfft.rfft(fields)
-        ux = sfft.irfft(np.multiply(spectrum[0], self.grid.ik, out=self.scratch), n=self.grid.n)
+        spectrum = np.fft.rfft(fields)
+        ux = np.fft.irfft(np.multiply(spectrum[0], self.grid.ik, out=self.scratch), n=self.grid.n)
         return self.transform(spectrum, u, eta, ux)
 
 
@@ -177,7 +178,7 @@ def eval_f(
     local *= 0.5 * (3.0 - sigma)
     rho2u *= Om
     local -= rho2u
-    local_h = sfft.rfft(local)
+    local_h = np.fft.rfft(local)
     local_h[cut:] = 0.0
     inner = bh + c * etah
     inner[cut:] = 0.0
@@ -185,4 +186,4 @@ def eval_f(
     fh = local_h - inner / grid.helm + grid.ik_helm * (
         Om * r2uxh - (mu - A) * (grid.ik * uh)
     )
-    return sfft.irfft(fh, n=grid.n)
+    return np.fft.irfft(fh, n=grid.n)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from r2ch import (
@@ -228,14 +227,21 @@ class TestBuildCertificate:
         assert cert.thm42 is None
         assert cert.rate_target == 2.0
 
-    def test_initial_slope_computed_once(self, monkeypatch):
-        # E0 and the slope's sup norm share one u_x: one rfft and one irfft
-        # (sigma > 0 without M_assumed, so no theorem certificate transforms)
-        p = PhysParams(A=0.5, sigma=2.0, mu=0.1, Omega=0.1)
-        g = build_grid(20.0, 256)
+    @pytest.mark.parametrize(
+        "sigma, mu, M_assumed",
+        [(2.0, 0.1, None), (-1.0, 0.1, None), (1.0, 0.0, 1.5)],
+        ids=["sigma2", "sigma-1", "sigma1-M_assumed"],
+    )
+    def test_initial_slope_computed_once(self, monkeypatch, sigma, mu, M_assumed):
+        # E0, the slope's sup norm and the theorem certificates (thm41 for
+        # sigma < 0, thm42 for sigma = 1, mu = 0 with M_assumed) share one
+        # u_x: one rfft and one irfft, counted at the numpy.fft entry points
+        p = PhysParams(A=0.5, sigma=sigma, mu=mu, Omega=0.1)
+        # a slope steep enough that thm41 certifies for sigma = -1
+        g = build_grid(5.0, 256)
         spec = InitialDataSpec(
-            u_terms=(ProfileTerm("gaussian_bump", 0.3, 2.0, 0.0),),
-            eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
+            u_terms=(ProfileTerm("slope_bump", 9.0, 0.1, 0.0),),
+            eta_terms=(ProfileTerm("eta_bump", 0.1, 0.5, 0.0),),
         )
         st0 = synthesize(spec, g)
         calls = []
@@ -248,14 +254,22 @@ class TestBuildCertificate:
             return wrapper
 
         for attr in ("rfft", "irfft"):
-            monkeypatch.setattr(scipy.fft, attr, counting(getattr(scipy.fft, attr)))
-        cert = build_certificate(st0, p, g)
+            monkeypatch.setattr(np.fft, attr, counting(getattr(np.fft, attr)))
+        cert = build_certificate(st0, p, g, M_assumed)
         assert calls == ["rfft", "irfft"]
         # the same bits as each quantity computed on its own
         assert cert.E0 == energy(st0, p, g)
         assert cert.u0x_sup_norm == refined_sup_abs(deriv(st0.u, g), g) * (
             1.0 + SUP_NORM_INFLATION
         )
+        assert (cert.thm41 is not None) == (sigma < 0)
+        if sigma < 0:
+            assert repr(cert.thm41) == repr(thm41_certificate(st0.u, g, cert.C, p))
+        assert (cert.thm42 is not None) == (M_assumed is not None)
+        if M_assumed is not None:
+            N = thm42_constant_N(cert.E0, M_assumed, p)
+            want = thm42_certificate(st0.u, g, N, cert.E0, M_assumed)
+            assert repr(cert.thm42) == repr(want)
 
 
 def fabricated_run(params, rows):

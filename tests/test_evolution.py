@@ -20,6 +20,7 @@ from r2ch import (
     RegimeFlags,
     RunSettings,
     SpectralKernel,
+    build_certificate,
     build_grid,
     detect_blowup,
     deriv,
@@ -293,7 +294,7 @@ class TestFourierStep:
 class TestTransformCounts:
     """FFT calls per stage evaluation, step end, accepted state and
     diagnostic row, and the reuse of k1 across a retried step, counted at
-    the scipy.fft entry points."""
+    the numpy.fft entry points."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -307,7 +308,7 @@ class TestTransformCounts:
             return wrapper
 
         for attr in ("rfft", "irfft"):
-            monkeypatch.setattr(scipy.fft, attr, counting("fft", getattr(scipy.fft, attr)))
+            monkeypatch.setattr(np.fft, attr, counting("fft", getattr(np.fft, attr)))
         monkeypatch.setattr(evolution, "_rhs_arrays", counting("rhs", evolution._rhs_arrays))
         monkeypatch.setattr(evolution, "step", counting("step", evolution.step))
         return counts
@@ -416,6 +417,42 @@ class TestTransformCounts:
                 eval_f(st, p, g, sp)
             with pytest.raises(ValueError, match="other params or another grid"):
                 make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+
+
+class TestScipyFftBits:
+    """r2ch computes every transform with numpy.fft; scipy.fft runs the same
+    C++ pocketfft.  Swapping numpy.fft's rfft and irfft for scipy.fft's leaves
+    a run's rows and final state, the certificate and the forcing the same
+    bits, so an upgrade of either library that moves the artifacts fails
+    here."""
+
+    @staticmethod
+    def outputs(p, g, st, settings):
+        rec = run(st, p, g, settings)
+        return (
+            repr(rec.rows),
+            repr(rec.termination),
+            rec.final_state.u.tobytes(),
+            rec.final_state.eta.tobytes(),
+            repr(build_certificate(st, p, g)),
+            eval_f(st, p, g).tobytes(),
+        )
+
+    @pytest.mark.parametrize("problem", ["n256", "criterion10_n4096"])
+    def test_run_certificate_and_forcing(self, monkeypatch, problem):
+        if problem == "n256":
+            p, g, st = TestTransformCounts.problem()
+            settings = RunSettings(t_end=0.3, tol=1e-10, dt_init=0.3, dt_max=0.3, diag_stride=1)
+        else:
+            p = PhysParams(A=0.5, sigma=-1.0, mu=0.0, Omega=0.1)
+            g = build_grid(5.0, 4096)
+            spec = InitialDataSpec(u_terms=(ProfileTerm("slope_bump", 9.0, 0.1, 0.0),))
+            st = synthesize(spec, g)
+            settings = RunSettings(t_end=0.01, dt_max=0.01, diag_stride=1)
+        shipped = self.outputs(p, g, st, settings)
+        for attr in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, attr, getattr(scipy.fft, attr))
+        assert self.outputs(p, g, st, settings) == shipped
 
 
 class TestSharedGrid:
