@@ -9,7 +9,8 @@ Layers:
 - characteristics: Lagrangian trajectories, extremum tracking, ODE residuals
 - certificates: closed-form blow-up certificates and runtime monitors
 - crosscheck: the oracles (second transcriptions, single-field kernel
-  convolutions, quadrature oracle) and the selftest suite
+  convolutions, quadrature oracle) and the selftest suite; import it as
+  ``r2ch.crosscheck``, ``import r2ch`` does not load it
 - cli: batch front end (run | certify | rate | sweep | selftest)
 """
 
@@ -74,12 +75,6 @@ from .certificates import (
     thm42_certificate,
     thm42_constant_N,
 )
-from .crosscheck import (
-    direct_conv_oracle,
-    helmholtz_conv,
-    helmholtz_conv_dx,
-    periodized_kernel,
-)
 
 __version__ = "0.1.0"
 
@@ -97,11 +92,7 @@ __all__ = [
     "synthesize",
     "SpectralKernel",
     "deriv",
-    "direct_conv_oracle",
     "eval_f",
-    "helmholtz_conv",
-    "helmholtz_conv_dx",
-    "periodized_kernel",
     "BlowupEvent",
     "BreakingTimeFit",
     "DiagnosticRow",

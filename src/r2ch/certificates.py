@@ -214,6 +214,21 @@ class Certificate:
     rate_target: float | None
 
 
+def _finite(name: str, compute) -> float:
+    """The constant compute() returns; a ValueError naming it when it is not
+    finite, as initial data too large for the closed forms make it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"certificate constant {name} is not finite ({value}): initial data too large"
+        )
+    return value
+
+
 def build_certificate(
     state0: FieldState,
     params: PhysParams,
@@ -224,19 +239,23 @@ def build_certificate(
     configuration, computed from the initial data: one slope, one rfft and
     one irfft."""
     u0x = deriv(state0.u, grid)
-    E0 = energy(state0, params, grid, u0x)
-    rho0_sup = refined_sup_abs(state0.rho, grid) * (1.0 + SUP_NORM_INFLATION)
-    u0x_sup = refined_sup_abs(u0x, grid) * (1.0 + SUP_NORM_INFLATION)
-    C = constant_C(E0, rho0_sup, params)
+    E0 = _finite("E0", lambda: energy(state0, params, grid, u0x))
+    inflate = 1.0 + SUP_NORM_INFLATION
+    rho0_sup = _finite("rho0_sup", lambda: refined_sup_abs(state0.rho, grid) * inflate)
+    u0x_sup = _finite("u0x_sup_norm", lambda: refined_sup_abs(u0x, grid) * inflate)
+    C = _finite("C", lambda: constant_C(E0, rho0_sup, params))
+    K2 = _finite("K2", lambda: k2_bound(C, rho0_sup, params))
     ceiling = (
-        lemma31_ceiling(u0x_sup, rho0_sup, C, params) if params.sigma > 0 else None
+        _finite("lemma31_ceiling", lambda: lemma31_ceiling(u0x_sup, rho0_sup, C, params))
+        if params.sigma > 0
+        else None
     )
     thm41 = (
         thm41_certificate(state0.u, grid, C, params, u0x) if params.sigma < 0 else None
     )
     thm42 = None
     if params.sigma == 1.0 and params.mu == 0.0 and M_assumed is not None and E0 > 0:
-        N = thm42_constant_N(E0, M_assumed, params)
+        N = _finite("N", lambda: thm42_constant_N(E0, M_assumed, params))
         thm42 = thm42_certificate(state0.u, grid, N, E0, M_assumed, u0x)
     return Certificate(
         E0=E0,
@@ -246,7 +265,7 @@ def build_certificate(
         lemma31_ceiling=ceiling,
         thm41=thm41,
         thm42=thm42,
-        K2=k2_bound(C, rho0_sup, params),
+        K2=K2,
         rate_target=(-2.0 / params.sigma) if params.sigma != 0 else None,
     )
 

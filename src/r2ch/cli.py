@@ -510,7 +510,7 @@ def _sweep_one(payload):
             T_est=(verdict["fit"] or {}).get("T_est"),
             rate_final_mean=(verdict["rate"] or {}).get("final_mean"),
         )
-    except Exception as exc:  # per-run failures never abort the sweep
+    except (OSError, ValueError) as exc:  # a bad point never aborts the sweep; a bug does
         summary.update(status=f"error: {exc}", exit_code=EXIT_CONFIG)
     return summary
 

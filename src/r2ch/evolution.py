@@ -405,7 +405,10 @@ def run(
 
         # k1 fills the kernel's first stage row, which a retried step keeps;
         # the state's products are not needed past it
-        k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
+        try:
+            k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
+        except NonFiniteState as exc:
+            return finish("invariant_violation", str(exc))
         spectra = None
         rec.rhs_evals += 1
         while True:

@@ -26,11 +26,8 @@ from r2ch import (
     build_grid,
     constant_C,
     detect_blowup,
-    direct_conv_oracle,
     estimate_T,
     gamma_decay_error,
-    helmholtz_conv,
-    helmholtz_conv_dx,
     jacobian_consistency,
     k2_bound,
     lemma31_ceiling,
@@ -51,6 +48,7 @@ from r2ch import (
 from r2ch import crosscheck
 from r2ch.characteristics import ExtremumTrack
 from r2ch.cli import main, read_diagnostics_csv
+from r2ch.crosscheck import direct_conv_oracle, helmholtz_conv, helmholtz_conv_dx
 
 from conftest import breaking_problem, cubic_moment_problem, smooth_problem
 

@@ -28,7 +28,7 @@ from r2ch import (
     track_extremum,
     track_from_rows,
 )
-from r2ch.characteristics import _Spline
+from r2ch.characteristics import _DIRECT_MAX, _BandLimitedField, _Spline
 from r2ch.evolution import RunRecord
 
 
@@ -170,14 +170,17 @@ class TestAdvect:
     def test_sample_along_recovers_field(self):
         # frozen u = sin(k x) at mode n/3 with eta zero: u, u_x and rho = 1
         # sampled along the paths match the closed forms at those off-grid
-        # points, for a single query point and for many
+        # points, for a single query point and for many, with seeds on the
+        # periodic seam: at q = -L and within one fine cell below +L
         g = build_grid(10.0, 512)
         kk = math.pi * (g.n // 3) / g.half_length
         times = np.linspace(0.0, 1.0, 11)
         rec = synthetic_run(lambda t, x: np.sin(kk * x), g, times)
         rng = np.random.default_rng(5)
+        seam = np.array([-10.0, 10.0 - 0.3 * g.dx / 2])
         for n_seeds in (1, 300):
-            traj = advect(rng.uniform(-10.0, 10.0, n_seeds), rec)
+            seeds = np.concatenate([rng.uniform(-10.0, 10.0, n_seeds), seam])
+            traj = advect(seeds, rec)
             q = traj.path
             for which, exact in (("u", np.sin(kk * q)), ("u_x", kk * np.cos(kk * q))):
                 err = np.max(np.abs(sample_along(traj, rec, which) - exact))
@@ -186,6 +189,52 @@ class TestAdvect:
             np.testing.assert_allclose(sample_along(traj, rec, "rho"), 1.0, atol=1e-10)
         with pytest.raises(ValueError):
             sample_along(traj, rec, "vorticity")
+
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_one_fine_grid_transform_per_instant(self, substeps, monkeypatch):
+        # an RK4 substep evaluates at two distinct instants (k2 and k3 share
+        # the midpoint, k4 and the next k1 the end), and a few seeds sum the
+        # series directly, with no fine-grid transform at all
+        g = build_grid(10.0, 256)
+        m = 11
+        times = np.linspace(0.0, 1.0, m)
+        rec = synthetic_run(lambda t, x: 0.2 * np.sin(math.pi * x / 10.0), g, times)
+        calls = []
+        irfft = np.fft.irfft
+
+        def counting_irfft(a, n=None, *args, **kwargs):
+            calls.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        many, one = g.x[1:].copy(), np.array([0.5])
+        for seeds, expected in ((many, 2 * substeps * (m - 1) + 1), (one, 0)):
+            calls.clear()
+            advect(seeds, rec, substeps=substeps)
+            assert calls.count(2 * g.n) == expected, (seeds.size, calls.count(2 * g.n))
+
+
+class TestBandLimitedField:
+    def test_direct_sum_matches_gridding(self):
+        # one series evaluated by both sums at the same points, the seam
+        # included: they agree to 1e-12 of the field's max, value and slope
+        g = build_grid(20.0, 1024)
+        times = np.linspace(0.0, 1.0, 9)
+        x = g.x
+        F = np.stack(
+            [np.exp(-((x - 3 * t) ** 2)) * np.sin(x + t) + 0.3 * np.exp(-(((x + 5) / 0.3) ** 2))
+             for t in times]
+        )
+        direct = _BandLimitedField(times, F, g, 1)
+        gridded = _BandLimitedField(times, F, g, _DIRECT_MAX + 1)
+        assert direct.direct and not gridded.direct
+        rng = np.random.default_rng(3)
+        q = np.concatenate([[-20.0, 20.0 - 1e-13, 20.0 - g.dx / 3], rng.uniform(-20.0, 20.0, 60)])
+        for t in (0.0, 0.37, 1.0):
+            a, b = direct(t, q), gridded(t, q)
+            for i in (0, 1):
+                scale = np.max(np.abs(gridded(t, g.x)[i]))
+                assert np.max(np.abs(a[i] - b[i])) <= 1e-12 * scale, (t, i)
 
 
 class TestExtremumTrack:

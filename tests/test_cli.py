@@ -9,6 +9,7 @@ import pytest
 
 from r2ch import FieldState, build_grid
 from r2ch import certificates as cert_mod
+from r2ch import cli
 from r2ch import evolution
 from r2ch.cli import (
     ConfigError,
@@ -315,6 +316,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "config error" in err and key.split(".")[1] in err
 
+    @pytest.mark.parametrize("amplitude, constant", [("1e110", "C"), ("1e200", "E0")])
+    def test_non_finite_certificate_exit_4(self, tmp_path, capsys, amplitude, constant):
+        # a = 1e110 overflows E0**1.5 in constant_C; a = 1e200 overflows E0
+        kept = [ln for ln in BASIC.splitlines() if not ln.startswith("init.u")]
+        line = f"init.u = gaussian_bump(a={amplitude}, w=0.5)"
+        cfg = self.write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: certificate constant {constant} is not finite")
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
     def test_certify(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         out = str(tmp_path / "c")
@@ -357,6 +370,33 @@ class TestCommands:
         assert "params.sigma" in header and "exit_code" in header
         assert (tmp_path / "sw" / "sweep_0000" / "verdict.json").exists()
         assert (tmp_path / "sw" / "sweep_0001" / "verdict.json").exists()
+
+    def test_sweep_point_config_error_recorded(self, tmp_path, monkeypatch):
+        # a point that fails on its input is an error row; the sweep goes on
+        real = cli.execute_run
+
+        def execute_run(cfg, out_dir):
+            if out_dir.endswith("sweep_0001"):
+                raise ConfigError("bad point")
+            return real(cfg, out_dir)
+
+        monkeypatch.setattr(cli, "execute_run", execute_run)
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.sigma = 0.5, 2.0\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+        lines = open(tmp_path / "sw" / "summary.csv").read().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+        assert [r["status"] for r in rows] == ["ok", "error: bad point"]
+        assert [r["exit_code"] for r in rows] == ["0", "4"]
+
+    def test_sweep_program_error_propagates(self, tmp_path, monkeypatch):
+        # a bug in the program is no per-point input error: it ends the sweep
+        def execute_run(cfg, out_dir):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "execute_run", execute_run)
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.sigma = 0.5, 2.0\n")
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
 
     def test_sweep_jobs_2_matches_jobs_1(self, tmp_path):
         # the process-pool path writes the bytes of the sequential one

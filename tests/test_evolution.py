@@ -24,7 +24,6 @@ from r2ch import (
     build_grid,
     detect_blowup,
     deriv,
-    direct_conv_oracle,
     estimate_T,
     eval_f,
     refined_extremum,
@@ -33,6 +32,7 @@ from r2ch import (
     step,
     synthesize,
 )
+from r2ch.crosscheck import direct_conv_oracle
 from r2ch.evolution import (
     DiagnosticRow,
     NonFiniteState,
@@ -627,6 +627,22 @@ class TestRunTermination:
         rec = run(st, p, g, settings)
         assert rec.termination.event == "step_floor"
         assert "dt_floor" in rec.termination.detail
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e160])
+    def test_invariant_violation(self, amplitude):
+        # u0 = a exp(-x^2) under a blow-up threshold it never reaches: with
+        # a = 1e150 a stage of the first step squares past the float range,
+        # with a = 1e160 the initial state's own tendency does; either way the
+        # run ends on the state it holds, at t = 0
+        p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
+        g = build_grid(20.0, 256)
+        st = FieldState(0.0, amplitude * np.exp(-(g.x**2)), np.zeros(g.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = run(st, p, g, RunSettings(t_end=0.1, blowup_threshold=1e300))
+        assert rec.termination.event == "invariant_violation"
+        assert rec.termination.t == 0.0
+        assert rec.termination.detail == "non-finite tendency"
+        assert rec.steps_accepted == 0 and rec.final_state is not None
 
     def test_lands_on_t_end(self):
         # ten steps of 0.02 sum to 0.19999999999999998; the 2.8e-17 left over

@@ -1,6 +1,10 @@
 """Spectral operators against closed forms and the quadrature oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +12,10 @@ import scipy.fft
 
 import r2ch
 import r2ch.cli
-from r2ch import (
-    FieldState,
-    PhysParams,
-    build_grid,
-    deriv,
+import r2ch.crosscheck
+from r2ch import FieldState, PhysParams, build_grid, deriv, eval_f
+from r2ch.crosscheck import (
     direct_conv_oracle,
-    eval_f,
     helmholtz_conv,
     helmholtz_conv_dx,
     periodized_kernel,
@@ -81,17 +82,27 @@ class TestHelmholtzConv:
 
 
 def test_oracles_live_in_crosscheck():
-    # the production modules bind no oracle; the package re-exports them
-    exported = ("helmholtz_conv", "helmholtz_conv_dx", "periodized_kernel", "direct_conv_oracle")
-    moved = exported + ("_central_deriv4", "selftest_checks")
+    # the production modules and the package bind no oracle, and importing
+    # the package does not load the oracles' module
+    oracles = ("helmholtz_conv", "helmholtz_conv_dx", "periodized_kernel", "direct_conv_oracle")
+    moved = oracles + ("_central_deriv4", "selftest_checks")
     for module in (r2ch.spectral, r2ch.cli):
         assert [name for name in moved + ("dealias",) if hasattr(module, name)] == []
     assert not hasattr(r2ch.crosscheck, "dealias")
     assert all(hasattr(r2ch.crosscheck, name) for name in moved)
     for name in r2ch.__all__:
         assert hasattr(r2ch, name), name
-    for name in exported:
-        assert getattr(r2ch, name) is getattr(r2ch.crosscheck, name)
+    assert [name for name in oracles if name in r2ch.__all__ or hasattr(r2ch, name)] == []
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, r2ch; print('r2ch.crosscheck' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestPeriodizedKernel:
