@@ -4,13 +4,14 @@ tracked gradient extremum and the density along it.
 
 The Lagrangian representation is purely diagnostic: it consumes snapshots
 stored by the Eulerian solver.  Fields are evaluated off the grid as their
-band-limited Fourier series: a not-a-knot cubic spline in time of the rfft
-coefficients, summed directly at up to ``_DIRECT_MAX`` = 24 query points
-(exact to rounding, about 1e-13 of the field's max) and beyond by a type-2
-nonuniform FFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee
-2004; about 1e-12 relative).  Calls at one instant share its time slice, so
-an RK4 substep evaluates the spline twice.  The spline is the layer's own
-numpy ``_Spline``; its knot integrals are the checks' quadratures.
+band-limited Fourier series: one not-a-knot cubic spline in time of the
+rfft coefficients.  Each call sums its time slice by its own number of query
+points: directly at up to ``_DIRECT_MAX`` = 24 (exact to rounding, about
+1e-13 of the field's max) and beyond by a type-2 nonuniform FFT with Gaussian
+gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004; about 1e-12 relative).
+Calls at one instant by one sum share its slice, so an RK4 substep evaluates
+the spline twice.  The spline is the layer's own numpy ``_Spline``; its knot
+integrals are the checks' quadratures.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .spectral import SpectralKernel, deriv, eval_f  # noqa: F401  (the benchmar
 # each query point; truncation and aliasing errors are about 1e-12 relative.
 _OVERSAMPLE = 2
 _HALF_WIDTH = 12
-# A field serving at most this many query points per call sums the series
-# directly; one serving more grids.  Whole `advect` calls (16 snapshots, one
-# substep), best of 9 on a shared 2-core Xeon: at 24 points the direct sum took
-# 5.4, 10.4 and 33.2 ms against gridding's 5.8, 11.2 and 39.6 ms at n = 1024,
-# 4096 and 2^14; at 32 points gridding won at n = 1024 and 4096 (5.7 against
-# 6.0 ms, 12.0 against 14.2 ms).
+# A call with at most this many query points sums the series directly; one
+# with more grids.  Whole `advect` calls (16 snapshots, one substep), best of 9
+# on a shared 2-core Xeon: at 24 points the direct sum took 5.4, 10.4 and 33.2
+# ms against gridding's 5.8, 11.2 and 39.6 ms at n = 1024, 4096 and 2^14; at
+# 32 points gridding won at n = 1024 and 4096 (5.7 against 6.0 ms, 12.0
+# against 14.2 ms).
 _DIRECT_MAX = 24
 
 
@@ -95,9 +96,10 @@ class _BandLimitedField:
     """Space-time interpolant of a snapshot series on the periodic box.
 
     In the angle theta = pi (x + L) / L the field is sum_m c_m exp(i m theta),
-    and the time spline of the c_m is, being linear in its data, that of the
-    snapshots.  A call returns the field and its x-derivative, summed by the
-    way the field picks from the number of query points it serves:
+    and one time spline holds the snapshots' rfft coefficients c_m.  A call
+    returns the field and its x-derivative, summed by the way it picks from
+    its number of query points, with that sum's weights applied to the time
+    slice:
 
     - up to ``_DIRECT_MAX``, the series weighted 2/n (1/n at m = 0 and at the
       Nyquist mode, shared by +-n/2), with exp(i m theta) = exp(i K a theta)
@@ -109,58 +111,56 @@ class _BandLimitedField:
       d0 - h j is E1 E2^j E3_j = exp(-d0^2/4tau) exp(d0 h/2tau)^j
       exp(-h^2 j^2/4tau): two exp per point and a constant column.
 
-    A call at the instant of the call before reuses that call's time slice.
+    A call at the instant and by the sum of the call before reuses that
+    call's time slice.
     """
 
-    def __init__(self, times: np.ndarray, fields: np.ndarray, grid: Grid, points: int):
-        n, coeffs = grid.n, np.fft.rfft(fields, axis=1)
-        self.half_length = grid.half_length
-        self.direct = points <= _DIRECT_MAX
-        self.ik = grid.ik
-        if self.direct:
-            K = math.isqrt(n)
-            size = -(-coeffs.shape[1] // K) * K
-            coeffs = np.pad(coeffs, ((0, 0), (0, size - coeffs.shape[1])))
-            self.ik = np.pad(grid.ik, (0, size - grid.ik.size))
-            self.low, self.high = np.arange(K, dtype=float), np.arange(0.0, size, K)
-            weight = np.full(size, 2.0 / n)
-            weight[[0, n // 2]] = 1.0 / n
-        else:
-            self.n_fine = _OVERSAMPLE * n
-            self.h = h = 2.0 * math.pi / self.n_fine
-            self.tau = tau = math.pi * _HALF_WIDTH / (n * n * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
-            j = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)[:, None]
-            self.e3 = np.exp((h * j) ** 2 * (-0.25 / tau))
-            m = np.arange(n // 2 + 1)
-            # 1/n of the rfft and the fine-grid quadrature weight folded in
-            weight = np.exp(m * m * tau) * math.sqrt(math.pi / tau) / n
-            weight[-1] *= 0.5  # the Nyquist coefficient is shared by the modes +-n/2
-        coeffs *= weight
-        self.spline_t = _Spline(times, coeffs)
-        self._t = None
+    def __init__(self, times: np.ndarray, fields: np.ndarray, grid: Grid):
+        n, self.half_length, self.ik = grid.n, grid.half_length, grid.ik
+        self.spline_t = _Spline(times, np.fft.rfft(fields, axis=1))
+        m = np.arange(n // 2 + 1)
+        K = math.isqrt(n)
+        self.low, self.high = np.arange(K, dtype=float), np.arange(0.0, m.size, K)
+        self.padded = None  # the direct sum's (field, slope) rows, made on its first call
+        self.n_fine = _OVERSAMPLE * n
+        self.h = h = 2.0 * math.pi / self.n_fine
+        self.tau = tau = math.pi * _HALF_WIDTH / (n * n * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
+        j = np.arange(1 - _HALF_WIDTH, _HALF_WIDTH + 1)[:, None]
+        self.e3 = np.exp((h * j) ** 2 * (-0.25 / tau))
+        # 1/n of the rfft and the fine-grid quadrature weight folded in
+        self.grid_weight = np.exp(m * m * tau) * math.sqrt(math.pi / tau) / n
+        self.grid_weight[-1] *= 0.5  # the Nyquist coefficient is shared by the modes +-n/2
+        self._key = None
 
-    def _slice(self, t: float) -> np.ndarray:
-        """Coefficients of (field, x-derivative) at t, as (2, a, b) for the
-        direct sum; for gridding, windows whose entry i + 1 holds the fine-grid
-        values at nodes i + 1 - W .. i + W, read periodically."""
-        if t != self._t:
+    def _slice(self, t: float, direct: bool) -> np.ndarray:
+        """Coefficients of (field, x-derivative) at t: for the direct sum the
+        padded buffer as (2, a, b); for gridding, windows whose entry i + 1
+        holds the fine-grid values at nodes i + 1 - W .. i + W, periodically."""
+        if (t, direct) != self._key:
             ch = self.spline_t(t)
-            rows = np.stack([ch, self.ik * ch])
-            if self.direct:
-                rows = rows.reshape(2, -1, self.low.size)
+            if direct:
+                if self.padded is None:  # zero-padded to a multiple of K
+                    self.padded = np.zeros((2, self.high.size * self.low.size), dtype=complex)
+                rows = self.padded[:, : ch.size]
+                np.multiply(ch, 1.0 / (ch.size - 1), out=rows[0])  # 2/n, as ch.size = n/2 + 1
+                rows[0, [0, -1]] *= 0.5  # 1/n at m = 0 and at the Nyquist mode
+                np.multiply(rows[0], self.ik, out=rows[1])
+                rows = self.padded.reshape(2, -1, self.low.size)
             else:
                 W = _HALF_WIDTH
-                fine = np.fft.irfft(rows, n=self.n_fine)
+                ch *= self.grid_weight
+                fine = np.fft.irfft(np.stack([ch, self.ik * ch]), n=self.n_fine)
                 fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)
                 rows = np.lib.stride_tricks.sliding_window_view(fine, 2 * W, axis=1)
-            self._t, self._rows = t, rows
+            self._key, self._rows = (t, direct), rows
         return self._rows
 
     def __call__(self, t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = self._slice(t)
+        direct = q.size <= _DIRECT_MAX
+        rows = self._slice(t, direct)
         L = self.half_length
         theta = ((q + L) % (2.0 * L)) * (math.pi / L)
-        if self.direct:
+        if direct:
             low = np.exp(1j * np.multiply.outer(self.low, theta))
             high = np.exp(1j * np.multiply.outer(self.high, theta))
             f, fx = np.einsum("fap,ap->fp", rows @ low, high).real
@@ -192,11 +192,12 @@ class Trajectory:
     u_x_along: np.ndarray  # u_x(t, q(t, x)), same shape
 
 
-def _snapshot_times(run: RunRecord) -> np.ndarray:
+def _series(run: RunRecord, quantity: str) -> _BandLimitedField:
+    """The interpolant of one stored quantity (u | rho | eta) of a run."""
     ts = np.array([s.t for s in run.snapshots])
     if np.any(np.diff(ts) <= 0):
         raise SnapshotCadenceError("snapshot times must be strictly increasing")
-    return ts
+    return _BandLimitedField(ts, np.stack([getattr(s, quantity) for s in run.snapshots]), run.grid)
 
 
 def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
@@ -211,8 +212,8 @@ def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
     L = run.grid.half_length
     if np.any(seeds < -L) or np.any(seeds >= L):
         raise ValueError("seeds must lie inside [-L, L)")
-    ts = _snapshot_times(run)
-    field = _BandLimitedField(ts, np.stack([s.u for s in run.snapshots]), run.grid, seeds.size)
+    field = _series(run, "u")
+    ts = field.spline_t.x
 
     q, J = seeds.copy(), np.ones_like(seeds)
     u, ux = field(ts[0], q)  # (u, u_x) at the current (t, q): the next k1
@@ -251,8 +252,7 @@ def sample_along(traj: Trajectory, run: RunRecord, which: str = "rho") -> np.nda
     source = {"rho": "rho", "u": "u", "eta": "eta", "u_x": "u"}
     if which not in source:
         raise ValueError(f"unknown field {which!r}")
-    F = np.stack([getattr(s, source[which]) for s in run.snapshots])
-    field = _BandLimitedField(_snapshot_times(run), F, run.grid, traj.path.shape[1])
+    field = _series(run, source[which])
     col = 1 if which == "u_x" else 0
     return np.stack([field(t, traj.path[i])[col] for i, t in enumerate(traj.times)])
 

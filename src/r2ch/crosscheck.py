@@ -7,7 +7,8 @@ no shared helpers, one unbatched transform per product); none uses those
 modules.  The single-field convolutions ``helmholtz_conv`` and
 ``helmholtz_conv_dx`` check the batched ``SpectralKernel``, and
 ``direct_conv_oracle`` (a physical-space quadrature against the closed-form
-periodized kernel, sharing only the grid) checks them.  ``selftest_checks``
+periodized kernel, sharing only the grid) checks them.  ``profile_dx`` is
+the analytic slope of an initial-data bump.  ``selftest_checks``
 runs the checks, looking the production functions up in their modules at
 call time; it and the tests require 1e-12 relative for the formulas and
 1e-13 of max |du/dt| for the tendency.
@@ -215,6 +216,14 @@ def _central_deriv4(f: np.ndarray, dx: float) -> np.ndarray:
     fp1, fm1 = np.roll(f, -1), np.roll(f, 1)
     fp2, fm2 = np.roll(f, -2), np.roll(f, 2)
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * dx)
+
+
+def profile_dx(term: ProfileTerm, x: np.ndarray) -> np.ndarray:
+    """Analytic x-derivative of one closed-form bump."""
+    s = (x - term.center) / term.width
+    if term.kind == "slope_bump":
+        return term.amp * np.exp(-(s**2)) * (1.0 - 2.0 * s**2)
+    return term.amp * np.exp(-(s**2)) * (-2.0 * s / term.width)
 
 
 def selftest_checks(mutate_c: float = 0.0):

@@ -171,13 +171,6 @@ class ProfileTerm:
             return self.amp * (x - self.center) * np.exp(-(s**2))
         return self.amp * np.exp(-(s**2))
 
-    def evaluate_dx(self, x: np.ndarray) -> np.ndarray:
-        """Analytic spatial derivative (``InitialDataSpec.u0_dx``), a test oracle."""
-        s = (x - self.center) / self.width
-        if self.kind == "slope_bump":
-            return self.amp * np.exp(-(s**2)) * (1.0 - 2.0 * s**2)
-        return self.amp * np.exp(-(s**2)) * (-2.0 * s / self.width)
-
 
 @dataclass(frozen=True)
 class InitialDataSpec:
@@ -203,12 +196,6 @@ class InitialDataSpec:
         out = np.zeros_like(x)
         for term in self.u_terms:
             out += term.evaluate(x)
-        return out
-
-    def u0_dx(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for term in self.u_terms:
-            out += term.evaluate_dx(x)
         return out
 
     def eta0(self, x: np.ndarray) -> np.ndarray:

@@ -216,8 +216,9 @@ class TestAdvect:
 
 class TestBandLimitedField:
     def test_direct_sum_matches_gridding(self):
-        # one series evaluated by both sums at the same points, the seam
-        # included: they agree to 1e-12 of the field's max, value and slope
+        # one field evaluates the same points by gridding in one call and by
+        # the direct sum in calls of at most _DIRECT_MAX, the seam included:
+        # the sums agree to 1e-12 of the field's max, value and slope
         g = build_grid(20.0, 1024)
         times = np.linspace(0.0, 1.0, 9)
         x = g.x
@@ -225,16 +226,19 @@ class TestBandLimitedField:
             [np.exp(-((x - 3 * t) ** 2)) * np.sin(x + t) + 0.3 * np.exp(-(((x + 5) / 0.3) ** 2))
              for t in times]
         )
-        direct = _BandLimitedField(times, F, g, 1)
-        gridded = _BandLimitedField(times, F, g, _DIRECT_MAX + 1)
-        assert direct.direct and not gridded.direct
+        field = _BandLimitedField(times, F, g)
         rng = np.random.default_rng(3)
         q = np.concatenate([[-20.0, 20.0 - 1e-13, 20.0 - g.dx / 3], rng.uniform(-20.0, 20.0, 60)])
         for t in (0.0, 0.37, 1.0):
-            a, b = direct(t, q), gridded(t, q)
+            gridded = field(t, q)
+            assert field._key == (t, False)
+            chunks = [field(t, q[i : i + _DIRECT_MAX]) for i in range(0, q.size, _DIRECT_MAX)]
+            assert field._key == (t, True)
+            scale = field(t, g.x)
             for i in (0, 1):
-                scale = np.max(np.abs(gridded(t, g.x)[i]))
-                assert np.max(np.abs(a[i] - b[i])) <= 1e-12 * scale, (t, i)
+                direct = np.concatenate([c[i] for c in chunks])
+                bound = 1e-12 * np.max(np.abs(scale[i]))
+                assert np.max(np.abs(direct - gridded[i])) <= bound, (t, i)
 
 
 class TestExtremumTrack:

@@ -328,6 +328,45 @@ class TestCommands:
         assert err.startswith(f"config error: certificate constant {constant} is not finite")
         assert not (tmp_path / "out" / "certificate.json").exists()
 
+    @pytest.mark.parametrize("amplitude, code", [("1e102", 3), ("1e120", 4)])
+    def test_run_invariant_violation_exit_3(self, tmp_path, capsys, amplitude, code):
+        # with sigma = -1 and Omega = 0 the certificate of a = 1e102 is still
+        # finite, but the first tendency overflows, so the run ends on an
+        # invariant violation at t = 0 and exits 3; a = 1e120 overflows C first
+        cfg = self.write_cfg(
+            tmp_path,
+            "params.A = 0.5\nparams.sigma = -1\nparams.Omega = 0\ngrid.L = 20\n"
+            f"grid.n = 256\ninit.u = gaussian_bump(a={amplitude}, w=0.5)\n"
+            "run.blowup_threshold = 1e300\nrun.t_end = 0.1\nrun.snapshot_cadence = 0\n",
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        if code == 4:
+            assert capsys.readouterr().err.startswith(
+                "config error: certificate constant C is not finite"
+            )
+            return
+        verdict = json.load(open(out / "verdict.json"))
+        assert verdict["termination"] == {"event": "invariant_violation", "t": 0.0}
+        assert verdict["exit_code"] == 3
+        assert math.isfinite(json.load(open(out / "certificate.json"))["certificate"]["C"])
+
+    @pytest.mark.parametrize("m_assumed, validated", [(1.2, True), (1.1, False)])
+    def test_run_thm42_validation(self, tmp_path, m_assumed, validated):
+        # rho starts at 1.0999 and peaks at 1.1065 over the recorded rows:
+        # M_assumed = 1.1 holds for the initial data but not along the run
+        kept = [ln for ln in BASIC.splitlines() if not ln.startswith("params.mu")]
+        text = "\n".join(kept + ["params.mu = 0", f"thm42.m_assumed = {m_assumed}"]) + "\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        # eta > 0 here, so each row's max rho is 1 + sup |eta|
+        rho_sup = [1.0 + r.sup_abs_eta for r in read_diagnostics_csv(str(out / "diagnostics.csv"))]
+        report = json.load(open(out / "verdict.json"))["thm42_validation"]
+        assert report["M_assumed"] == m_assumed and report["validated"] is validated
+        assert report["observed_rho_sup"] == pytest.approx(max(rho_sup), rel=1e-15)
+        assert rho_sup[0] < 1.1 < report["observed_rho_sup"]
+
     def test_certify(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         out = str(tmp_path / "c")

@@ -76,8 +76,8 @@ class TestRhsOracle:
         )
         st = synthesize(uspec, g)
         u, eta = st.u, st.eta
-        ux = uspec.u0_dx(g.x)
-        etax = sum(t.evaluate_dx(g.x) for t in uspec.eta_terms)
+        ux = sum(crosscheck.profile_dx(t, g.x) for t in uspec.u_terms)
+        etax = sum(crosscheck.profile_dx(t, g.x) for t in uspec.eta_terms)
         rho = 1.0 + eta
         A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
         c = params.coriolis_margin
@@ -127,6 +127,41 @@ class TestRhsOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 rhs(FieldState(0.0, u, np.zeros(g.n)), p, g)
+
+    @pytest.mark.parametrize(
+        "A, sigma, mu, Omega, symmetric",
+        [
+            (0.0, 1.0, 0.0, 0.0, True),
+            (0.0, -1.0, 0.0, 0.0, True),
+            (0.5, 1.0, 0.0, 0.1, False),  # the odd terms (mu - A) u and -Omega rho^2 u
+            (0.0, 1.0, 0.2, 0.0, False),  # the transport speed sigma u - mu
+        ],
+    )
+    def test_reflection_symmetry(self, A, sigma, mu, Omega, symmetric):
+        # with A = Omega = mu = 0, v(x) = -u(-x) and zeta(x) = eta(-x) solve
+        # the system when u and eta do, so the tendency of the reflected state
+        # is the reflected tendency; on the grid a(-x) is np.roll(a[::-1], 1).
+        # The other two cases show that the check can fail.
+        g = build_grid(10.0, 256)
+        x = g.x
+
+        def reflect(a):
+            return np.roll(a[::-1], 1)
+
+        u = 0.3 * np.exp(-(((x - 1.0) / 1.5) ** 2)) - 0.2 * np.exp(-(((x + 2.5) / 0.8) ** 2))
+        eta = 0.1 * np.exp(-(((x + 1.0) / 1.2) ** 2)) + 0.05 * np.exp(-(((x - 3.0) / 0.7) ** 2))
+        p = PhysParams(A=A, sigma=sigma, mu=mu, Omega=Omega)
+        td = rhs(FieldState(0.0, u, eta), p, g)
+        tr = rhs(FieldState(0.0, -reflect(u), reflect(eta)), p, g)
+        scale = max(np.max(np.abs(td.du_dt)), np.max(np.abs(td.deta_dt)))
+        defect = max(
+            np.max(np.abs(tr.du_dt + reflect(td.du_dt))),
+            np.max(np.abs(tr.deta_dt - reflect(td.deta_dt))),
+        ) / scale
+        if symmetric:
+            assert defect <= 1e-13, defect
+        else:
+            assert defect >= 1e-2, defect
 
 
 def _tendency_unbatched(uh, etah, u, eta, ux, params, grid):
@@ -628,6 +663,21 @@ class TestRunTermination:
         assert rec.termination.event == "step_floor"
         assert "dt_floor" in rec.termination.detail
 
+    def test_step_floor_after_accepted_step(self):
+        # a tolerance equal to the error estimate of the first step accepts
+        # it with a step-size factor of 0.9, which leaves the next dt of
+        # 9.45e-7 below a floor of 1e-6: the run ends there, not on a rejection
+        p, g, st = TestTransformCounts.problem()
+        _, err = step(st, 1.05e-6, p, g)
+        settings = RunSettings(t_end=1.0, tol=err, dt_floor=1e-6, dt_init=1.05e-6)
+        rec = run(st, p, g, settings)
+        assert rec.termination.event == "step_floor"
+        assert rec.steps_accepted == 1 and rec.steps_rejected == 0
+        assert rec.termination.t == 1.05e-6
+        detail = rec.termination.detail
+        assert detail.startswith("accepted step of dt 1.05e-06 at t 1.05e-06")
+        assert "next dt 9.45e-07" in detail
+
     @pytest.mark.parametrize("amplitude", [1e150, 1e160])
     def test_invariant_violation(self, amplitude):
         # u0 = a exp(-x^2) under a blow-up threshold it never reaches: with
@@ -655,6 +705,16 @@ class TestRunTermination:
         assert rec.steps_accepted == 10
         assert rec.rows[-1].t == 0.2
         assert rec.accepted_dt_min > settings.dt_floor
+
+    def test_closing_snapshot_off_cadence(self):
+        # ten steps of 0.02 at cadence 3 store steps 0, 3, 6 and 9; the run
+        # that reaches t_end adds its last state as the closing snapshot
+        p, g, spec = smooth_problem()
+        settings = RunSettings(t_end=0.2, dt_init=0.02, dt_max=0.02, snapshot_cadence=3)
+        rec = run(synthesize(spec, g), p, g, settings)
+        assert rec.termination.event == "reached_t_end" and rec.steps_accepted == 10
+        assert [s.t for s in rec.snapshots] == pytest.approx([0.0, 0.06, 0.12, 0.18, 0.2])
+        assert rec.snapshots[-1] is rec.final_state
 
     def test_snapshot_cadence_zero_disables(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)

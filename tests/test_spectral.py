@@ -85,10 +85,11 @@ def test_oracles_live_in_crosscheck():
     # the production modules and the package bind no oracle, and importing
     # the package does not load the oracles' module
     oracles = ("helmholtz_conv", "helmholtz_conv_dx", "periodized_kernel", "direct_conv_oracle")
-    moved = oracles + ("_central_deriv4", "selftest_checks")
+    moved = oracles + ("_central_deriv4", "selftest_checks", "profile_dx")
     for module in (r2ch.spectral, r2ch.cli):
         assert [name for name in moved + ("dealias",) if hasattr(module, name)] == []
     assert not hasattr(r2ch.crosscheck, "dealias")
+    assert not hasattr(r2ch.ProfileTerm, "evaluate_dx") and not hasattr(r2ch.InitialDataSpec, "u0_dx")
     assert all(hasattr(r2ch.crosscheck, name) for name in moved)
     for name in r2ch.__all__:
         assert hasattr(r2ch, name), name
