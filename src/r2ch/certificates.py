@@ -183,7 +183,7 @@ def thm42_certificate(
         raise ValueError("N must be nonnegative")
     if u0x is None:
         u0x = deriv(u0, grid)
-    m0 = float(grid.dx * np.sum(u0x**3))
+    m0 = float(grid.dx * np.sum(u0x * u0x * u0x))
     s = math.sqrt(2.0 * E0 * N)
     condition = m0 <= -s
     T_bound = None
@@ -300,31 +300,21 @@ def monitor_bounds(
             out.append(Violation("forcing_bound", row.t, row.f_sup_abs, half_C2))
     if track is not None and track.branch == "sup":
         tol_g = 1e-6 * max(1.0, cert.rho0_sup)
-        m_nonneg_so_far = True
-        for i in range(track.t.size):
-            m_nonneg_so_far = m_nonneg_so_far and track.M[i] >= -1e-9
-            if m_nonneg_so_far and abs(track.gamma[i]) > cert.rho0_sup + tol_g:
-                out.append(
-                    Violation(
-                        "density_bound", float(track.t[i]), float(abs(track.gamma[i])), cert.rho0_sup
-                    )
-                )
+        m_nonneg_so_far = np.logical_and.accumulate(track.M >= -1e-9)
+        above = np.abs(track.gamma) > cert.rho0_sup + tol_g
+        for i in np.flatnonzero(m_nonneg_so_far & above):
+            gamma = float(abs(track.gamma[i]))
+            out.append(Violation("density_bound", float(track.t[i]), gamma, cert.rho0_sup))
         if params.sigma < 0:
             thr = cert.C / math.sqrt(-params.sigma)
-            crossed = False
-            prev = None
-            for i in range(track.t.size):
-                M = float(track.M[i])
-                if not crossed and M > thr:
-                    crossed = True
-                    prev = M
-                elif crossed:
-                    tol_m = 1e-6 * max(1.0, abs(prev))
-                    if M < prev - tol_m:
-                        out.append(
-                            Violation("monotone_after_threshold", float(track.t[i]), M, prev)
-                        )
+            prev = None  # the running max of M once M has crossed the threshold
+            for t, M in zip(track.t.tolist(), track.M.tolist()):
+                if prev is not None:
+                    if M < prev - 1e-6 * max(1.0, abs(prev)):
+                        out.append(Violation("monotone_after_threshold", t, M, prev))
                     prev = max(prev, M)
+                elif M > thr:
+                    prev = M
     return out
 
 

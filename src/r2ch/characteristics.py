@@ -341,10 +341,7 @@ def argmax_jump_mask(track: ExtremumTrack, grid: Grid) -> np.ndarray:
     consecutive samples (argmax switching between distant local extrema); the
     tracked value stays continuous there but its time derivative has a kink."""
     jump = np.zeros(track.t.size, dtype=bool)
-    if track.t.size < 2:
-        return jump
-    dxi = np.abs(np.diff(track.xi))
-    big = dxi > 10.0 * grid.dx
+    big = np.abs(np.diff(track.xi)) > 10.0 * grid.dx
     jump[:-1] |= big
     jump[1:] |= big
     return jump

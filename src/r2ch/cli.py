@@ -407,13 +407,9 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
         except FitWindowError as exc:
             fit = {"error": str(exc)}
         else:
-            if fit.reliable and cfg.params.sigma < 0:
-                try:
-                    rate = cert_mod.rate_check(
-                        track_sup, fit.T_est, cfg.params, window=cfg.fit_window
-                    )
-                except ValueError:
-                    rate = None
+            # the rate product needs a breaking time past the last row
+            if fit.reliable and cfg.params.sigma < 0 and fit.T_est > track_sup.t[-1]:
+                rate = cert_mod.rate_check(track_sup, fit.T_est, cfg.params, window=cfg.fit_window)
 
     thm42_validation = None
     if cfg.m_assumed is not None:

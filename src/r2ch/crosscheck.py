@@ -8,10 +8,11 @@ modules.  The single-field convolutions ``helmholtz_conv`` and
 ``helmholtz_conv_dx`` check the batched ``SpectralKernel``, and
 ``direct_conv_oracle`` (a physical-space quadrature against the closed-form
 periodized kernel, sharing only the grid) checks them.  ``profile_dx`` is
-the analytic slope of an initial-data bump.  ``selftest_checks``
-runs the checks, looking the production functions up in their modules at
-call time; it and the tests require 1e-12 relative for the formulas and
-1e-13 of max |du/dt| for the tendency.
+the analytic slope of an initial-data bump; ``reflection_defect`` checks the
+tendency against an exact symmetry.  ``selftest_checks`` runs the checks,
+looking the production functions up in their modules at call time; it and
+the tests require 1e-12 relative for the formulas and 1e-13 of max |du/dt|
+for the tendency and its reflection.
 """
 
 from __future__ import annotations
@@ -226,6 +227,20 @@ def profile_dx(term: ProfileTerm, x: np.ndarray) -> np.ndarray:
     return term.amp * np.exp(-(s**2)) * (-2.0 * s / term.width)
 
 
+def reflection_defect(u: np.ndarray, eta: np.ndarray, params: PhysParams, grid: Grid) -> float:
+    """Max distance of the tendency of v(x) = -u(-x), zeta(x) = eta(-x) from
+    the reflected tendency, relative to max |tendency|.  The reflection is a
+    symmetry of the system exactly when A = Omega = mu = 0; on the grid a(-x)
+    is np.roll(a[::-1], 1)."""
+    def reflect(a):
+        return np.roll(a[..., ::-1], 1, axis=-1)
+
+    td = evolution.rhs(FieldState(0.0, u, eta), params, grid)
+    tr = evolution.rhs(FieldState(0.0, -reflect(u), reflect(eta)), params, grid)
+    want = reflect(np.stack((-td.du_dt, td.deta_dt)))
+    return float(np.max(np.abs(np.stack((tr.du_dt, tr.deta_dt)) - want)) / np.max(np.abs(want)))
+
+
 def selftest_checks(mutate_c: float = 0.0):
     """The oracle suite: yields (name, passed, detail)."""
     rng = np.random.default_rng(20240817)
@@ -270,6 +285,10 @@ def selftest_checks(mutate_c: float = 0.0):
             float(np.max(np.abs(td.deta_dt - deta))) / scale,
         )
     yield "tendency_oracle", worst <= 1e-13, f"max diff / max |du/dt| {worst:.3e}"
+
+    # the last draw's bumps, under the reflection symmetry of sigma = +-1
+    worst = max(reflection_defect(u, eta, PhysParams(0.0, s, 0.0, 0.0), grid_s) for s in (-1, 1))
+    yield "reflection_symmetry", worst <= 1e-13, f"max defect / max |tendency| {worst:.3e}"
 
     worst_rel = 0.0
     # the initial profiles of the theorem certificates come from their own

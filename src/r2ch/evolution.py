@@ -289,10 +289,13 @@ def energy(
     ``ux`` is the state's slope when the caller holds it."""
     if ux is None:
         ux = deriv(state.u, grid)
-    return float(
-        grid.dx
-        * np.sum(state.u**2 + ux**2 + params.coriolis_margin * state.eta**2)
-    )
+    return _energy(state, params, grid, ux * ux)
+
+
+def _energy(state: FieldState, params: PhysParams, grid: Grid, ux2: np.ndarray) -> float:
+    """``energy`` from the squared slope ``ux2``."""
+    u, eta = state.u, state.eta
+    return float(grid.dx * np.sum(u * u + ux2 + params.coriolis_margin * (eta * eta)))
 
 
 def make_diagnostic_row(
@@ -304,25 +307,27 @@ def make_diagnostic_row(
     spectra: StateSpectra | None = None,
 ) -> DiagnosticRow:
     """The state's diagnostics from its transforms (``spectra``, when the
-    caller holds them): two FFT calls, for the forcing."""
+    caller holds them): two FFT calls, for the forcing.  The moments are
+    products of the slope, so no power runs per grid point."""
     if spectra is None:
         spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
     ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
     fvals = eval_f(state, params, grid, spectra)
+    ux2 = ux * ux
     rho = state.rho
     return DiagnosticRow(
         t=state.t,
         dt=dt,
-        E=energy(state, params, grid, ux),
+        E=_energy(state, params, grid, ux2),
         sup_ux=float(sup_ux),
         inf_ux=float(inf_ux),
         x_at_sup_ux=float(x_sup),
         x_at_inf_ux=float(x_inf),
         sup_abs_eta=float(np.max(np.abs(state.eta))),
         min_rho=float(np.min(rho)),
-        m3=float(grid.dx * np.sum(ux**3)),
+        m3=float(grid.dx * np.sum(ux2 * ux)),
         f_sup_abs=float(np.max(np.abs(fvals))),
         lemma31_ceiling=lemma31_ceiling,
         boundary_leak=boundary_leak(state, grid),
@@ -341,6 +346,7 @@ def _release(state: FieldState) -> FieldState:
     return state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(
     initial: FieldState,
     params: PhysParams,
@@ -349,7 +355,8 @@ def run(
     lemma31_ceiling: float = math.nan,
 ) -> RunRecord:
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
-    the dt floor, or an invariant violation.  Every termination is an event.
+    the dt floor, or an invariant violation (a tendency that overflows, so
+    numpy's overflow warnings are off).  Every termination is an event.
 
     The run builds its own ``SpectralKernel``.  Each accepted state, the
     initial one included, carries its spectrum and slope through one sequence:
@@ -450,17 +457,13 @@ def detect_blowup(
     two-sided sup |u_x| criterion otherwise."""
     if not samples:
         raise ValueError("empty diagnostic series")
-    for i, row in enumerate(samples):
-        if regime.scenario_sigma_pos:
-            if row.inf_ux <= -threshold:
-                return BlowupEvent(i, row.t, "inf_ux")
-        elif regime.blowup_sigma_neg:
-            if row.sup_ux >= threshold:
-                return BlowupEvent(i, row.t, "sup_ux")
-        else:
-            if max(abs(row.sup_ux), abs(row.inf_ux)) >= threshold:
-                return BlowupEvent(i, row.t, "sup_abs_ux")
-    return None
+    if regime.scenario_sigma_pos:
+        criterion, hit = "inf_ux", lambda r: r.inf_ux <= -threshold
+    elif regime.blowup_sigma_neg:
+        criterion, hit = "sup_ux", lambda r: r.sup_ux >= threshold
+    else:
+        criterion, hit = "sup_abs_ux", lambda r: max(abs(r.sup_ux), abs(r.inf_ux)) >= threshold
+    return next((BlowupEvent(i, r.t, criterion) for i, r in enumerate(samples) if hit(r)), None)
 
 
 class FitWindowError(ValueError):

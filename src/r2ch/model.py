@@ -227,5 +227,5 @@ def synthesize(spec: InitialDataSpec, grid: Grid) -> FieldState:
 def boundary_leak(state: FieldState, grid: Grid) -> float:
     """Max field magnitude over the outer 5% of the box (decay monitor)."""
     edge = max(1, int(round(0.05 * grid.n / 2)))
-    sl = np.r_[0:edge, grid.n - edge : grid.n]
-    return float(max(np.max(np.abs(state.u[sl])), np.max(np.abs(state.eta[sl]))))
+    u, eta = state.u, state.eta
+    return float(max(np.abs(a).max() for a in (u[:edge], u[-edge:], eta[:edge], eta[-edge:])))

@@ -178,12 +178,11 @@ def eval_f(
     local *= 0.5 * (3.0 - sigma)
     rho2u *= Om
     local -= rho2u
-    local_h = np.fft.rfft(local)
-    local_h[cut:] = 0.0
+    fh = np.fft.rfft(local)
+    fh[cut:] = 0.0
     inner = bh + c * etah
     inner[cut:] = 0.0
     inner[0] += 0.5 * c * grid.n
-    fh = local_h - inner / grid.helm + grid.ik_helm * (
-        Om * r2uxh - (mu - A) * (grid.ik * uh)
-    )
+    fh -= inner / grid.helm
+    fh += grid.ik_helm * (Om * r2uxh - (mu - A) * (grid.ik * uh))
     return np.fft.irfft(fh, n=grid.n)

@@ -145,6 +145,18 @@ class TestAdvect:
         with pytest.raises(SnapshotCadenceError):
             advect(np.array([0.0]), rec)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.2, 0.1, 0.3, 0.4], [0.0, 0.1, 0.1, 0.2, 0.3]])
+    def test_snapshot_times_must_increase(self, times):
+        # a record assembled by hand, out of order or with a repeated instant
+        g = build_grid(10.0, 256)
+        rec = synthetic_run(lambda t, x: np.sin(math.pi * x / 10.0), g, np.array(times))
+        still = synthetic_run(lambda t, x: 0 * x, g, np.linspace(0.0, 0.4, 5))
+        traj = advect(np.array([0.0]), still)
+        with pytest.raises(SnapshotCadenceError, match="strictly increasing"):
+            advect(np.array([0.0]), rec)
+        with pytest.raises(SnapshotCadenceError, match="strictly increasing"):
+            sample_along(traj, rec, "u")
+
     @pytest.mark.parametrize("substeps", [0, -1])
     def test_substeps_must_be_positive(self, substeps):
         g = build_grid(10.0, 256)

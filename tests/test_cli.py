@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -340,17 +341,39 @@ class TestCommands:
             "run.blowup_threshold = 1e300\nrun.t_end = 0.1\nrun.snapshot_cadence = 0\n",
         )
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
         if code == 4:
-            assert capsys.readouterr().err.startswith(
-                "config error: certificate constant C is not finite"
-            )
+            assert err.startswith("config error: certificate constant C is not finite")
             return
+        # the run turns the overflow into its exit code, without a numpy warning
+        assert err == "" and caught == []
         verdict = json.load(open(out / "verdict.json"))
         assert verdict["termination"] == {"event": "invariant_violation", "t": 0.0}
         assert verdict["exit_code"] == 3
         assert math.isfinite(json.load(open(out / "certificate.json"))["certificate"]["C"])
+
+    @pytest.mark.parametrize("early", [False, True])
+    def test_run_rate_needs_breaking_time_past_last_row(self, tmp_path, monkeypatch, early):
+        # the steep data at n = 1024 with G = 16 fits a reliable T_est near
+        # 0.22, past its last row at t = 0.11; a fit whose T_est does not pass
+        # the last row (the early case moves it onto that row) gets no rate
+        if early:
+            fit = cli.estimate_T
+            monkeypatch.setattr(
+                cli, "estimate_T",
+                lambda rows, *a: dataclasses.replace(fit(rows, *a), T_est=rows[-1].t),
+            )
+        text = STEEP.replace("16384", "1024").replace("= 50", "= 16")
+        text += "fit.m_lo = 10\nfit.m_hi = 15\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        verdict = json.load(open(out / "verdict.json"))
+        last_t = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1].t
+        assert verdict["fit"]["reliable"] and (verdict["fit"]["T_est"] > last_t) != early
+        assert (verdict["rate"] is None) == early
 
     @pytest.mark.parametrize("m_assumed, validated", [(1.2, True), (1.1, False)])
     def test_run_thm42_validation(self, tmp_path, m_assumed, validated):
@@ -510,6 +533,7 @@ class TestSelftest:
             "kernel_oracle_dxp",
             "rest_state_equilibrium",
             "tendency_oracle",
+            "reflection_symmetry",
             "double_entry_formulas",
             "synthetic_rate_profile",
         ]
@@ -564,3 +588,15 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         assert main(["selftest", "--mutate-c", "1e-6"]) == 1
         capsys.readouterr()
+
+    def test_reflection_mutation_detected(self, monkeypatch):
+        # a transport term mu u_x added to the kernel breaks the reflection
+        # symmetry of A = Omega = mu = 0
+        class Mutated(evolution.SpectralKernel):
+            def __init__(self, params, grid):
+                super().__init__(params, grid)
+                self.w_uh = self.w_uh + 1e-6 * grid.ik
+
+        monkeypatch.setattr(evolution, "SpectralKernel", Mutated)
+        results = {check: ok for check, ok, _ in selftest_checks()}
+        assert not results["reflection_symmetry"]

@@ -3,6 +3,8 @@
 import math
 import sys
 import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from r2ch import (
     RegimeFlags,
     RunSettings,
     SpectralKernel,
+    boundary_leak,
     build_certificate,
     build_grid,
     detect_blowup,
@@ -31,6 +34,7 @@ from r2ch import (
     run,
     step,
     synthesize,
+    thm42_certificate,
 )
 from r2ch.crosscheck import direct_conv_oracle
 from r2ch.evolution import (
@@ -42,7 +46,7 @@ from r2ch.evolution import (
     make_diagnostic_row,
 )
 
-from conftest import smooth_problem
+from conftest import breaking_problem, cubic_moment_problem, smooth_problem
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -140,24 +144,14 @@ class TestRhsOracle:
     def test_reflection_symmetry(self, A, sigma, mu, Omega, symmetric):
         # with A = Omega = mu = 0, v(x) = -u(-x) and zeta(x) = eta(-x) solve
         # the system when u and eta do, so the tendency of the reflected state
-        # is the reflected tendency; on the grid a(-x) is np.roll(a[::-1], 1).
-        # The other two cases show that the check can fail.
+        # is the reflected tendency (crosscheck.reflection_defect).  The other
+        # two cases show that the check can fail.
         g = build_grid(10.0, 256)
         x = g.x
-
-        def reflect(a):
-            return np.roll(a[::-1], 1)
-
         u = 0.3 * np.exp(-(((x - 1.0) / 1.5) ** 2)) - 0.2 * np.exp(-(((x + 2.5) / 0.8) ** 2))
         eta = 0.1 * np.exp(-(((x + 1.0) / 1.2) ** 2)) + 0.05 * np.exp(-(((x - 3.0) / 0.7) ** 2))
         p = PhysParams(A=A, sigma=sigma, mu=mu, Omega=Omega)
-        td = rhs(FieldState(0.0, u, eta), p, g)
-        tr = rhs(FieldState(0.0, -reflect(u), reflect(eta)), p, g)
-        scale = max(np.max(np.abs(td.du_dt)), np.max(np.abs(td.deta_dt)))
-        defect = max(
-            np.max(np.abs(tr.du_dt + reflect(td.du_dt))),
-            np.max(np.abs(tr.deta_dt - reflect(td.deta_dt))),
-        ) / scale
+        defect = crosscheck.reflection_defect(u, eta, p, g)
         if symmetric:
             assert defect <= 1e-13, defect
         else:
@@ -683,11 +677,12 @@ class TestRunTermination:
         # u0 = a exp(-x^2) under a blow-up threshold it never reaches: with
         # a = 1e150 a stage of the first step squares past the float range,
         # with a = 1e160 the initial state's own tendency does; either way the
-        # run ends on the state it holds, at t = 0
+        # run ends on the state it holds, at t = 0, without a numpy warning
         p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
         g = build_grid(20.0, 256)
         st = FieldState(0.0, amplitude * np.exp(-(g.x**2)), np.zeros(g.n))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rec = run(st, p, g, RunSettings(t_end=0.1, blowup_threshold=1e300))
         assert rec.termination.event == "invariant_violation"
         assert rec.termination.t == 0.0
@@ -842,3 +837,93 @@ class TestDiagnosticRow:
         assert row.lemma31_ceiling == 7.0
         # m3 of the even bump's odd-symmetric cube integrates to zero
         assert abs(row.m3) <= 1e-12
+
+
+class TestRowMoments:
+    """The row's moments are products of the slope: m3 and the thm42 m0
+    against a cube taken by np.power, E bit for bit against energy(), and
+    the boundary leak bit for bit against the fancy-indexed edges."""
+
+    @pytest.fixture(params=["smooth", "steep"])
+    def state(self, request):
+        p, g, spec = smooth_problem() if request.param == "smooth" else breaking_problem()
+        st = synthesize(spec, g)
+        return p, g, st, SpectralKernel(p, g).forward(st.u, st.eta)
+
+    def test_cubic_moments(self, state):
+        p, g, st, sp = state
+        row = make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        m0 = thm42_certificate(st.u, g, 1.0, 1.0, u0x=sp.ux).m0
+        want = g.dx * np.sum(np.power(sp.ux, 3))
+        scale = g.dx * np.sum(np.abs(sp.ux) ** 3)
+        assert abs(row.m3 - want) <= 1e-13 * scale
+        assert abs(m0 - want) <= 1e-13 * scale
+
+    def test_energy_bitwise(self, state):
+        p, g, st, sp = state
+        row = make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        assert row.E == energy(st, p, g, sp.ux) == energy(st, p, g)
+
+    @pytest.mark.parametrize("where", [None, 0, 1, 2, 3])
+    def test_boundary_leak_bitwise(self, state, where):
+        # None: the state itself; else the largest edge value in one of the
+        # four edge segments (u left, u right, eta left, eta right)
+        p, g, st, _ = state
+        edge = max(1, int(round(0.05 * g.n / 2)))
+        if where is not None:
+            fields = np.random.default_rng(where).uniform(-1e-3, 1e-3, size=(2, g.n))
+            fields[where // 2, (edge // 2) - (where % 2) * edge] = -2e-3
+            st = FieldState(0.0, *fields)
+        sl = np.r_[0:edge, g.n - edge : g.n]
+        want = float(max(np.max(np.abs(st.u[sl])), np.max(np.abs(st.eta[sl]))))
+        assert boundary_leak(st, g) == want
+        if where is not None:
+            assert want == 2e-3
+
+
+class TestReflectedRun:
+    """With A = Omega = mu = 0 the run from v(x) = -u(-x), zeta(x) = eta(-x)
+    mirrors the run from (u, eta): criterion 11's problem, centred on x = 0,
+    where the reflection leaves the samples bit for bit as they are, and the
+    same bumps off centre, where it does not."""
+
+    @pytest.mark.parametrize("centre", [0.0, 0.1234])
+    def test_same_steps_and_breaking_time(self, centre):
+        params, grid, spec = cubic_moment_problem()
+        spec = InitialDataSpec(
+            u_terms=tuple(replace(t, center=centre) for t in spec.u_terms),
+            eta_terms=tuple(replace(t, center=centre) for t in spec.eta_terms),
+        )
+        st = synthesize(spec, grid)
+        reflected = FieldState(0.0, -np.roll(st.u[::-1], 1), np.roll(st.eta[::-1], 1))
+        assert np.array_equal(reflected.u, st.u) == (centre == 0.0)
+        # the settings of the cubic_moment_run fixture
+        settings = RunSettings(
+            t_end=0.6, tol=1e-8, blowup_threshold=25.0, dt_max=0.004,
+            snapshot_cadence=0, diag_stride=2, dense_diag_above=13.0,
+        )
+        recs = [run(s, params, grid, settings) for s in (st, reflected)]
+        fits = [estimate_T(r.rows, params, "inf", (14.0, 24.0)) for r in recs]
+        counts = [(r.termination.event, r.steps_accepted, r.steps_rejected) for r in recs]
+        assert counts[0] == counts[1]
+        assert fits[0].T_est == pytest.approx(fits[1].T_est, rel=1e-6)
+        if centre == 0.0:  # criterion 11's run
+            assert counts[0] == ("blowup_detected", 23, 0)
+            assert round(fits[0].T_est, 6) == 0.165396
+        x_inf = [rec.rows[-1].x_at_inf_ux for rec in recs]
+        assert x_inf[1] == pytest.approx(-x_inf[0], abs=1e-9)
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"blowup_threshold": 0.0}, "blowup threshold must be positive"),
+            ({"dt_floor": 0.05}, "dt_floor must be below dt_max"),
+            ({"diag_stride": 0}, "diag_stride must be at least 1"),
+            ({"snapshot_cadence": -1}, "snapshot_cadence must be nonnegative"),
+        ],
+    )
+    def test_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            RunSettings(t_end=1.0, **changes)
