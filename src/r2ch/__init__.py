@@ -21,10 +21,8 @@ from .model import (
     InitialDataSpec,
     PhysParams,
     ProfileTerm,
-    RegimeFlags,
     boundary_leak,
     build_grid,
-    classify_regime,
     synthesize,
 )
 from .spectral import SpectralKernel, deriv, eval_f
@@ -39,6 +37,7 @@ from .evolution import (
     Termination,
     detect_blowup,
     estimate_T,
+    energy,
     refined_extremum,
     rhs,
     run,
@@ -66,7 +65,6 @@ from .certificates import (
     Violation,
     build_certificate,
     constant_C,
-    energy,
     k2_bound,
     lemma31_ceiling,
     monitor_bounds,
@@ -85,10 +83,8 @@ __all__ = [
     "InitialDataSpec",
     "PhysParams",
     "ProfileTerm",
-    "RegimeFlags",
     "boundary_leak",
     "build_grid",
-    "classify_regime",
     "synthesize",
     "SpectralKernel",
     "deriv",

@@ -248,13 +248,14 @@ def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
 
 def sample_along(traj: Trajectory, run: RunRecord, which: str = "rho") -> np.ndarray:
     """Sample a snapshot-derived field (rho | u | eta | u_x) along the
-    trajectory, with the same space-time interpolation used for advection."""
-    source = {"rho": "rho", "u": "u", "eta": "eta", "u_x": "u"}
-    if which not in source:
+    trajectory, with the same space-time interpolation used for advection.
+    The slope u_x is the one ``advect`` recorded there."""
+    if which == "u_x":
+        return traj.u_x_along.copy()
+    if which not in ("rho", "u", "eta"):
         raise ValueError(f"unknown field {which!r}")
-    field = _series(run, source[which])
-    col = 1 if which == "u_x" else 0
-    return np.stack([field(t, traj.path[i])[col] for i, t in enumerate(traj.times)])
+    field = _series(run, which)
+    return np.stack([field(t, traj.path[i])[0] for i, t in enumerate(traj.times)])
 
 
 def jacobian_consistency(traj: Trajectory) -> float:

@@ -41,9 +41,7 @@ from .model import (
     InitialDataSpec,
     PhysParams,
     ProfileTerm,
-    RegimeFlags,
     build_grid,
-    classify_regime,
     synthesize,
 )
 
@@ -388,12 +386,9 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
         for i, snap in enumerate(rec.snapshots):
             write_snapshot(os.path.join(snap_dir, f"snap_{i:06d}.bin"), snap)
 
-    regime = classify_regime(cfg.params)
-    event = detect_blowup(rec.rows, regime, cfg.settings.blowup_threshold)
+    event = detect_blowup(rec.rows, cfg.params.sigma, cfg.settings.blowup_threshold)
     # the two-sided detector of the general scenario, recorded alongside
-    twosided = detect_blowup(
-        rec.rows, RegimeFlags(False, False, False), cfg.settings.blowup_threshold
-    )
+    twosided = detect_blowup(rec.rows, 0.0, cfg.settings.blowup_threshold)
 
     track_sup = track_from_rows(rec, "sup")
     violations = cert_mod.monitor_bounds(rec, certificate, track_sup, cfg.params)

@@ -253,12 +253,12 @@ def selftest_checks(mutate_c: float = 0.0):
         err = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
         yield f"kernel_oracle_{kind}", err <= 1e-8, f"rel err {err:.3e}"
 
+    # every draw keeps 1 - 2 Omega A above 0: |A| <= 1 and Omega < 1/2 here,
+    # and |A| < 0.9, Omega < 0.45 below give a margin above 0.19
     worst = 0.0
     for _ in range(20):
         A = rng.uniform(-1, 1)
         Om = rng.uniform(0, 0.5)
-        if 1 - 2 * Om * A <= 0:
-            A = 0.0
         p = PhysParams(A=A, sigma=rng.uniform(-2, 2), mu=rng.uniform(-1, 1), Omega=Om)
         st = FieldState(0.0, np.zeros(grid.n), np.zeros(grid.n))
         td = evolution.rhs(st, p, grid)
@@ -271,8 +271,6 @@ def selftest_checks(mutate_c: float = 0.0):
     worst = 0.0
     for _ in range(5):
         A, Om = rng_state.uniform(-0.9, 0.9), rng_state.uniform(0.0, 0.45)
-        if 1 - 2 * Om * A <= 0.05:
-            A = 0.0
         p = PhysParams(A=A, sigma=rng_state.uniform(-3, 3), mu=rng_state.uniform(-1, 1), Omega=Om)
         bumps = np.exp(-((grid_s.x - rng_state.uniform(-2, 2, size=(2, 1))) ** 2))
         u, eta = rng_state.uniform(-1, 1, size=(2, 1)) * bumps
@@ -303,8 +301,6 @@ def selftest_checks(mutate_c: float = 0.0):
     for _ in range(1000):
         A = rng.uniform(-0.9, 0.9)
         Om = rng.uniform(0.0, 0.45)
-        while 1 - 2 * Om * A <= 0.05:
-            A, Om = rng.uniform(-0.9, 0.9), rng.uniform(0.0, 0.45)
         sigma = rng.uniform(-3, 3)
         mu = rng.uniform(-1, 1)
         p = PhysParams(A=A, sigma=sigma, mu=mu, Omega=Om)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import FieldState, Grid, PhysParams, RegimeFlags, boundary_leak
+from .model import FieldState, Grid, PhysParams, boundary_leak
 from .spectral import SpectralKernel, StateSpectra, deriv, eval_f
 
 # Cash-Karp embedded pair: 6 stages, 5th and 4th order weights.
@@ -450,16 +450,16 @@ class BlowupEvent:
 
 
 def detect_blowup(
-    samples: list[DiagnosticRow], regime: RegimeFlags, threshold: float
+    samples: list[DiagnosticRow], sigma: float, threshold: float
 ) -> BlowupEvent | None:
-    """First diagnostic row at which the regime-specific gradient extremum
+    """First diagnostic row at which the gradient extremum of sigma's regime
     crosses the threshold: inf u_x for sigma>0, sup u_x for sigma<0, and the
-    two-sided sup |u_x| criterion otherwise."""
+    two-sided sup |u_x| criterion for sigma=0."""
     if not samples:
         raise ValueError("empty diagnostic series")
-    if regime.scenario_sigma_pos:
+    if sigma > 0:
         criterion, hit = "inf_ux", lambda r: r.inf_ux <= -threshold
-    elif regime.blowup_sigma_neg:
+    elif sigma < 0:
         criterion, hit = "sup_ux", lambda r: r.sup_ux >= threshold
     else:
         criterion, hit = "sup_abs_ux", lambda r: max(abs(r.sup_ux), abs(r.inf_ux)) >= threshold

@@ -50,30 +50,6 @@ class PhysParams:
 
 
 @dataclass(frozen=True)
-class RegimeFlags:
-    """Which of the certified regimes a parameter tuple falls into."""
-
-    scenario_sigma_pos: bool
-    blowup_sigma_neg: bool
-    blowup_sigma_one: bool
-
-    def __post_init__(self):
-        if self.scenario_sigma_pos and self.blowup_sigma_neg:
-            raise ValueError("sigma>0 and sigma<0 regimes are mutually exclusive")
-        if self.blowup_sigma_one and not self.scenario_sigma_pos:
-            raise ValueError("the sigma=1, mu=0 regime implies sigma>0")
-
-
-def classify_regime(params: PhysParams) -> RegimeFlags:
-    """Map parameters to regime flags.  sigma=0 activates nothing."""
-    return RegimeFlags(
-        scenario_sigma_pos=params.sigma > 0,
-        blowup_sigma_neg=params.sigma < 0,
-        blowup_sigma_one=(params.sigma == 1.0 and params.mu == 0.0),
-    )
-
-
-@dataclass(frozen=True)
 class Grid:
     """Uniform periodic mesh on [-L, L) with rfft wavenumbers k_m = pi*m/L."""
 

@@ -18,7 +18,6 @@ from r2ch import (
     InitialDataSpec,
     PhysParams,
     ProfileTerm,
-    RegimeFlags,
     SpectralKernel,
     advect,
     argmax_jump_mask,
@@ -231,9 +230,7 @@ def test_criterion_10_steep_slope_blowup(accept, breaking_run):
     t41 = cert.thm41
     certified = t41 is not None and t41.u0x_at_witness >= 1.2 * t41.threshold
     detected = rec.termination.event == "blowup_detected"
-    event = detect_blowup(
-        rec.rows, RegimeFlags(False, True, False), rec.settings.blowup_threshold
-    )
+    event = detect_blowup(rec.rows, rec.params.sigma, rec.settings.blowup_threshold)
     track = track_from_rows(rec, "sup")
     violations = monitor_bounds(rec, cert, track, rec.params)
     fit = estimate_T(rec.rows, rec.params, "sup", (20.0, 200.0))

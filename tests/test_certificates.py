@@ -146,6 +146,20 @@ class TestThm42:
         with pytest.raises(ValueError):
             thm42_constant_N(1.0, 1.0, p)
 
+    @pytest.mark.parametrize("E0, M", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_constant_rejects_negative_inputs(self, E0, M):
+        p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            thm42_constant_N(E0, M, p)
+
+    @pytest.mark.parametrize(
+        "E0, N, message", [(0.0, 1.0, "E0 must be positive"), (1.0, -1.0, "N must be nonnegative")]
+    )
+    def test_certificate_rejects_bad_constants(self, E0, N, message):
+        g = build_grid(5.0, 256)
+        with pytest.raises(ValueError, match=message):
+            thm42_certificate(np.zeros(g.n), g, N, E0)
+
     @settings(max_examples=100)
     @given(
         E0=st.floats(0, 5),
@@ -184,12 +198,19 @@ class TestThm42:
         cert = thm42_certificate(st0.u, g, 10.0, 1.0)
         assert not cert.condition_met
         assert cert.T_bound is None
+        assert math.isnan(crosscheck.thm42_T_alt(cert.m0, 1.0, 10.0))
 
 
 class TestK2:
     def test_formula(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
         assert k2_bound(2.0, 1.5, p) == pytest.approx(0.5 * 2.25 + 2.0)
+
+    @pytest.mark.parametrize("C, rho", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_negative_inputs(self, C, rho):
+        p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            k2_bound(C, rho, p)
 
     @settings(max_examples=100)
     @given(p=params_strategy(), C=st.floats(0, 10), rho=st.floats(0, 3))

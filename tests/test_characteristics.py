@@ -28,7 +28,7 @@ from r2ch import (
     track_extremum,
     track_from_rows,
 )
-from r2ch.characteristics import _DIRECT_MAX, _BandLimitedField, _Spline
+from r2ch.characteristics import _DIRECT_MAX, _BandLimitedField, _series, _Spline
 from r2ch.evolution import RunRecord
 
 
@@ -172,6 +172,18 @@ class TestAdvect:
         with pytest.raises(ValueError, match="stride"):
             sup_transport_error(traj, rec, stride=stride)
 
+    def test_sup_transport_error_argmax_at_seed_edge(self):
+        # frozen u = a sin(k x) with seeds right of the slope's peak at x = 0:
+        # the largest seed slope is the first seed's, taken as it is, against
+        # the grid sup a k at the node x = 0
+        g = build_grid(10.0, 256)
+        a, kk = 0.2, math.pi / 10.0
+        rec = synthetic_run(lambda t, x: a * np.sin(kk * x), g, np.linspace(0.0, 1.0, 11))
+        traj = advect(np.linspace(2.0, 5.0, 7), rec)
+        assert np.all(np.argmax(traj.u_x_along, axis=1) == 0)
+        expect = np.max(a * kk - traj.u_x_along[:, 0])
+        assert sup_transport_error(traj, rec) == pytest.approx(expect, rel=1e-12)
+
     def test_seed_bounds(self):
         g = build_grid(10.0, 256)
         times = np.linspace(0.0, 1.0, 11)
@@ -201,6 +213,35 @@ class TestAdvect:
             np.testing.assert_allclose(sample_along(traj, rec, "rho"), 1.0, atol=1e-10)
         with pytest.raises(ValueError):
             sample_along(traj, rec, "vorticity")
+
+    @pytest.mark.parametrize("n_seeds", [1, 30])
+    def test_slope_along_is_the_trajectorys(self, n_seeds, monkeypatch):
+        # sample_along reads u_x from the trajectory and builds no series:
+        # one advect, then u_x and rho, build 1 + 0 + 1 fields; the slope is
+        # the u series' own, bit for bit, by the direct sum and by gridding
+        g = build_grid(10.0, 256)
+        times = np.linspace(0.0, 1.0, 11)
+        rec = synthetic_run(lambda t, x: 0.2 * np.sin(math.pi * (x - 0.3 * t) / 10.0), g, times)
+        seeds = np.random.default_rng(n_seeds).uniform(-10.0, 10.0, n_seeds)
+        builds = []
+        init = _BandLimitedField.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_BandLimitedField, "__init__", counting_init)
+        traj = advect(seeds, rec)
+        assert len(builds) == 1
+        ux = sample_along(traj, rec, "u_x")
+        assert len(builds) == 1
+        sample_along(traj, rec, "rho")
+        assert len(builds) == 2
+        monkeypatch.undo()
+        field = _series(rec, "u")
+        expect = np.stack([field(t, traj.path[i])[1] for i, t in enumerate(traj.times)])
+        assert np.array_equal(ux, expect)
+        assert ux is not traj.u_x_along
 
     @pytest.mark.parametrize("substeps", [1, 2])
     def test_one_fine_grid_transform_per_instant(self, substeps, monkeypatch):

@@ -111,6 +111,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep"):
             parse_config(BASIC + "sweep.params.bogus = 1, 2\n")
 
+    def test_blank_and_comment_lines(self):
+        cfg = parse_config("# a header comment\n\n" + BASIC.replace("grid.L", "\n   # grid\ngrid.L"))
+        base = parse_config(BASIC)
+        assert (cfg.params, cfg.init, cfg.settings) == (base.params, base.init, base.settings)
+        assert cfg.grid.n == base.grid.n and cfg.grid.half_length == base.grid.half_length
+
+    def test_unknown_override_key(self):
+        with pytest.raises(ConfigError, match="unknown override key 'params.bogus'"):
+            parse_config(BASIC, {"params.bogus": "1"})
+
 
 class TestProfileExpr:
     def test_zero(self):
@@ -141,6 +151,10 @@ class TestProfileExpr:
     def test_garbage(self):
         with pytest.raises(ConfigError):
             _parse_profile("gaussian_bump[a=0.3]", for_eta=False)
+
+    def test_bad_number(self):
+        with pytest.raises(ConfigError, match=r"in 'gaussian_bump\(a=abc, w=2\)'"):
+            _parse_profile("gaussian_bump(a=abc, w=2)", for_eta=False)
 
     def test_split_top_level(self):
         assert _split_top_level("a(x=1, y=2), b, c(z=3)") == [
@@ -177,7 +191,7 @@ class TestArtifacts:
             assert a.t == b.t and a.E == b.E and a.sup_ux == b.sup_ux
             assert math.isnan(b.lemma31_ceiling)
 
-    @pytest.mark.parametrize("damage", ["not a number", "one field short"])
+    @pytest.mark.parametrize("damage", ["not a number", "one field short", "wrong header"])
     def test_csv_damaged_line(self, tmp_path, damage):
         path = tmp_path / "d.csv"
         write_diagnostics_csv(str(path), sample_rows())
@@ -185,11 +199,14 @@ class TestArtifacts:
         fields = lines[3].split(",")
         if damage == "not a number":
             fields[6] = "abc"
-        else:
+        elif damage == "one field short":
             fields.pop()
         lines[3] = ",".join(fields)
+        if damage == "wrong header":
+            lines[0] = lines[0].replace("E_drift_rel", "drift")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match=r"d\.csv: line 4"):
+        match = "unexpected CSV columns" if damage == "wrong header" else r"line 4"
+        with pytest.raises(ConfigError, match=r"d\.csv: " + match):
             read_diagnostics_csv(str(path))
 
     def test_csv_deterministic(self, tmp_path):
@@ -215,11 +232,23 @@ class TestArtifacts:
         with pytest.raises(ConfigError, match="magic"):
             read_snapshot(path)
 
+    def test_snapshot_unsupported_version(self, tmp_path):
+        g = build_grid(10.0, 64)
+        path = tmp_path / "s.bin"
+        write_snapshot(str(path), FieldState(0.25, np.sin(g.x), np.zeros(g.n)))
+        data = bytearray(path.read_bytes())
+        data[8:12] = (2).to_bytes(4, "little")  # the version field after the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="unsupported snapshot version 2"):
+            read_snapshot(str(path))
+
     def test_jsonable(self):
         out = _jsonable(
-            {"a": np.float64(1.5), "b": math.nan, "c": np.array([1.0, 2.0]), "d": (1, "x")}
+            {"a": np.float64(1.5), "b": math.nan, "c": np.array([1.0, 2.0]), "d": (1, "x"),
+             "e": np.int64(3)}
         )
-        assert out == {"a": 1.5, "b": None, "c": [1.0, 2.0], "d": [1, "x"]}
+        assert out == {"a": 1.5, "b": None, "c": [1.0, 2.0], "d": [1, "x"], "e": 3}
+        assert type(out["e"]) is int
         with pytest.raises(TypeError):
             _jsonable(object())
 

@@ -19,7 +19,6 @@ from r2ch import (
     InitialDataSpec,
     PhysParams,
     ProfileTerm,
-    RegimeFlags,
     RunSettings,
     SpectralKernel,
     boundary_leak,
@@ -742,37 +741,28 @@ class TestRunTermination:
 
 
 class TestDetectBlowup:
-    def pos_regime(self):
-        return RegimeFlags(True, False, False)
-
-    def neg_regime(self):
-        return RegimeFlags(False, True, False)
-
-    def none_regime(self):
-        return RegimeFlags(False, False, False)
-
     def test_positive_sigma_fires_on_inf(self):
         rows = [make_row(0.0), make_row(1.0, inf_ux=-60.0)]
-        ev = detect_blowup(rows, self.pos_regime(), 50.0)
+        ev = detect_blowup(rows, 1.0, 50.0)
         assert ev == BlowupEvent(1, 1.0, "inf_ux")
 
     def test_positive_sigma_ignores_sup(self):
         rows = [make_row(0.0, sup_ux=100.0)]
-        assert detect_blowup(rows, self.pos_regime(), 50.0) is None
+        assert detect_blowup(rows, 1.0, 50.0) is None
 
     def test_negative_sigma_fires_on_sup(self):
         rows = [make_row(0.0, sup_ux=49.0), make_row(0.5, sup_ux=51.0)]
-        ev = detect_blowup(rows, self.neg_regime(), 50.0)
+        ev = detect_blowup(rows, -1.0, 50.0)
         assert ev.criterion == "sup_ux" and ev.index == 1
 
     def test_two_sided(self):
         rows = [make_row(0.0, inf_ux=-70.0)]
-        ev = detect_blowup(rows, self.none_regime(), 50.0)
+        ev = detect_blowup(rows, 0.0, 50.0)
         assert ev.criterion == "sup_abs_ux"
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            detect_blowup([], self.pos_regime(), 50.0)
+            detect_blowup([], 1.0, 50.0)
 
 
 class TestEstimateT:

@@ -14,7 +14,6 @@ from r2ch import (
     ProfileTerm,
     boundary_leak,
     build_grid,
-    classify_regime,
     synthesize,
 )
 from r2ch.crosscheck import profile_dx
@@ -54,25 +53,6 @@ class TestPhysParams:
             assert 1.0 - 2.0 * Omega * A <= 0
         else:
             assert p.coriolis_margin > 0
-
-
-class TestRegime:
-    def test_positive_sigma(self):
-        r = classify_regime(PhysParams(A=0.0, sigma=0.5, mu=0.1, Omega=0.0))
-        assert r.scenario_sigma_pos and not r.blowup_sigma_neg
-        assert not r.blowup_sigma_one  # mu != 0
-
-    def test_sigma_one_mu_zero(self):
-        r = classify_regime(PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0))
-        assert r.blowup_sigma_one and r.scenario_sigma_pos
-
-    def test_negative_sigma(self):
-        r = classify_regime(PhysParams(A=0.0, sigma=-2.0, mu=0.0, Omega=0.0))
-        assert r.blowup_sigma_neg and not r.scenario_sigma_pos
-
-    def test_sigma_zero_activates_nothing(self):
-        r = classify_regime(PhysParams(A=0.0, sigma=0.0, mu=0.0, Omega=0.0))
-        assert not (r.scenario_sigma_pos or r.blowup_sigma_neg or r.blowup_sigma_one)
 
 
 class TestGrid:
@@ -136,6 +116,11 @@ class TestProfiles:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             ProfileTerm("gaussian_bump", 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("amp, center", [(math.nan, 0.0), (1.0, math.inf)])
+    def test_rejects_nonfinite_amp_or_center(self, amp, center):
+        with pytest.raises(ValueError, match="finite"):
+            ProfileTerm("gaussian_bump", amp, 1.0, center)
 
 
 class TestSynthesize:
