@@ -2,16 +2,16 @@
 (Jacobian) equation, extremum tracking, and the ODE residuals governing the
 tracked gradient extremum and the density along it.
 
-The Lagrangian representation is purely diagnostic: it consumes snapshots
-stored by the Eulerian solver.  Fields are evaluated off the grid as their
-band-limited Fourier series: one not-a-knot cubic spline in time of the
-rfft coefficients.  Each call sums its time slice by its own number of query
-points: directly at up to ``_DIRECT_MAX`` = 24 (exact to rounding, about
-1e-13 of the field's max) and beyond by a type-2 nonuniform FFT with Gaussian
-gridding (Dutt & Rokhlin 1993; Greengard & Lee 2004; about 1e-12 relative).
-Calls at one instant by one sum share its slice, so an RK4 substep evaluates
-the spline twice.  The spline is the layer's own numpy ``_Spline``; its knot
-integrals are the checks' quadratures.
+The layer is purely diagnostic: it reads the snapshots stored by the Eulerian
+solver and, as their extremum track points, the run's own rows.  Fields are
+evaluated off the grid as their band-limited Fourier series: one not-a-knot
+cubic spline in time of the rfft coefficients.  Each call sums its time slice
+by its own number of query points: directly at up to ``_DIRECT_MAX`` = 24
+(exact to rounding, about 1e-13 of the field's max) and beyond by a type-2
+nonuniform FFT with Gaussian gridding (Dutt & Rokhlin 1993; Greengard & Lee
+2004; about 1e-12 relative).  Calls at one instant by one sum share its slice,
+so an RK4 substep evaluates the spline twice.  The spline is the layer's own
+numpy ``_Spline``; its knot integrals are the checks' quadratures.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .evolution import (
     _check_branch,
     _refine_parabolic,
     make_diagnostic_row,
-    refined_extremum,
 )
 from .model import Grid, PhysParams
-from .spectral import SpectralKernel, deriv, eval_f  # noqa: F401  (the benchmark wraps eval_f)
+from .spectral import SpectralKernel, eval_f  # noqa: F401  (the benchmark wraps eval_f)
 
 # Gaussian gridding on a twice-oversampled grid with 12 points either side of
 # each query point; truncation and aliasing errors are about 1e-12 relative.
@@ -51,9 +50,9 @@ class SnapshotCadenceError(ValueError):
 
 class _Spline:
     """Not-a-knot cubic spline (de Boor 1978, ch. IV) along axis 0 of real or
-    complex ``y`` at 4+ increasing knots ``x``: slopes by two sweeps of the
-    tridiagonal system scipy's ``CubicSpline`` solves, power-form ``coeffs``
-    and integrals from x[0] to knots."""
+    complex ``y`` at 4+ increasing knots ``x``: slopes by two in-place sweeps
+    of the tridiagonal system scipy's ``CubicSpline`` solves (scaled by
+    ``_divide``), power-form ``coeffs`` and integrals from x[0] to knots."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x = np.asarray(x, dtype=float)
@@ -64,7 +63,7 @@ class _Spline:
             raise ValueError("spline knots must be strictly increasing")
         self.y = y = np.asarray(y)
         self.hc = hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
-        d = np.diff(y, axis=0) / hc
+        d = _divide(np.diff(y, axis=0), hc)
         diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
         upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
         self.s = s = np.empty_like(d, shape=y.shape)
@@ -73,12 +72,15 @@ class _Spline:
         s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
         for i in range(1, x.size):  # forward sweep
             r = lower[i - 1] / diag[i - 1]
-            diag[i], s[i] = diag[i] - r * upper[i - 1], s[i] - r * s[i - 1]
+            diag[i] -= r * upper[i - 1]
+            s[i] -= r * s[i - 1]
         s[-1] /= diag[-1]
         for i in range(x.size - 2, -1, -1):  # back substitution
-            s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
-        t = (s[:-1] + s[1:] - 2.0 * d) / hc
-        self.coeffs = (t / hc, (d - s[:-1]) / hc - t, s[:-1], y[:-1])
+            s[i] -= upper[i] * s[i + 1]
+            s[i] /= diag[i]
+        t = _divide(s[:-1] + s[1:] - 2.0 * d, hc)
+        c2 = _divide(d - s[:-1], hc) - t
+        self.coeffs = (_divide(t, hc), c2, s[:-1], y[:-1])
 
     def integrals(self) -> np.ndarray:
         y, s, hc = self.y, self.s, self.hc
@@ -90,6 +92,15 @@ class _Spline:
         c3, c2, c1, c0 = (c[i] for c in self.coeffs)
         dt = t - self.x[i]
         return ((c3 * dt + c2) * dt + c1) * dt + c0
+
+
+def _divide(a: np.ndarray, hc: np.ndarray) -> np.ndarray:
+    """``a / hc`` in place and bit for bit: numpy divides complex by real as
+    (re + im 0) (1/hc), so a complex ``a`` has its float view scaled by 1/hc."""
+    if np.iscomplexobj(a):
+        a.view(float).reshape(a.shape + (2,))[...] *= (1.0 / hc)[..., None]
+        return a
+    return np.divide(a, hc, out=a)  # the reciprocal would change real bits
 
 
 class _BandLimitedField:
@@ -267,27 +278,21 @@ def jacobian_consistency(traj: Trajectory) -> float:
 
 
 def sup_transport_error(traj: Trajectory, run: RunRecord, stride: int = 1) -> float:
-    """Max over recorded times of |sup over seeds of u_x(t, q) - grid sup u_x|,
-    both sides refined by local quadratic interpolation.  With seeds covering
-    the grid this verifies that the flow map transports the supremum."""
+    """Max over recorded times of |sup over seeds of u_x(t, q) - sup u_x in the
+    snapshot's row|, both refined by local quadratic interpolation.  With seeds
+    covering the grid this verifies that the flow map transports the supremum."""
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    grid = run.grid
     worst = 0.0
-    for it in range(0, traj.times.size, stride):
-        snap = run.snapshots[it]
-        ux = deriv(snap.u, grid)
-        _, grid_sup = refined_extremum(ux, grid.x, "max")
-        vals = traj.u_x_along[it]
+    rows = _snapshot_rows(run, stride)
+    for vals, qs, row in zip(traj.u_x_along[::stride], traj.path[::stride], rows):
         j = int(np.argmax(vals))
+        seed_sup = vals[j]
         if 0 < j < vals.size - 1:
-            qs = traj.path[it]
             _, seed_sup = _refine_parabolic(
                 qs[j - 1], qs[j], qs[j + 1], vals[j - 1], vals[j], vals[j + 1]
             )
-        else:
-            seed_sup = vals[j]
-        worst = max(worst, abs(float(seed_sup) - float(grid_sup)))
+        worst = max(worst, abs(float(seed_sup) - row.sup_ux))
     return worst
 
 
@@ -301,19 +306,24 @@ class ExtremumTrack:
     f_along: np.ndarray
 
 
+def _snapshot_rows(run: RunRecord, stride: int = 1) -> list[DiagnosticRow]:
+    """The diagnostic row of every stride-th snapshot: the run's own at that
+    instant, else one made from the snapshot's samples (one kernel for all)."""
+    rows = {row.t: row for row in run.rows}
+    if missing := [snap for snap in run.snapshots[::stride] if snap.t not in rows]:
+        kernel = SpectralKernel(run.params, run.grid)
+        for snap in missing:
+            sp = kernel.forward(snap.u, snap.eta)
+            rows[snap.t] = make_diagnostic_row(snap, math.nan, run.params, run.grid, spectra=sp)
+    return [rows[snap.t] for snap in run.snapshots[::stride]]
+
+
 def track_extremum(run: RunRecord, branch: str = "sup") -> ExtremumTrack:
     """Per-snapshot location and value of the tracked u_x extremum, with the
-    density and forcing sampled at the (sub-grid refined) extremizer: the
-    diagnostic row of each snapshot, from its one spectral pass."""
+    density and forcing sampled at the (sub-grid refined) extremizer: each
+    snapshot's diagnostic row, the run's own where it recorded one."""
     _check_branch(branch)
-    kernel = SpectralKernel(run.params, run.grid)
-    rows = [
-        make_diagnostic_row(
-            snap, math.nan, run.params, run.grid, spectra=kernel.forward(snap.u, snap.eta)
-        )
-        for snap in run.snapshots
-    ]
-    return _track(rows, branch)
+    return _track(_snapshot_rows(run), branch)
 
 
 def track_from_rows(run: RunRecord, branch: str = "sup") -> ExtremumTrack:

@@ -1,5 +1,6 @@
 """Flow-map advection, extremum tracking and the Lagrangian ODE residuals."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,19 +18,26 @@ from r2ch import (
     PhysParams,
     RunSettings,
     SnapshotCadenceError,
+    SpectralKernel,
     advect,
     argmax_jump_mask,
     build_grid,
+    deriv,
     gamma_decay_error,
     jacobian_consistency,
     ode_residuals,
+    refined_extremum,
+    run,
     sample_along,
     sup_transport_error,
+    synthesize,
     track_extremum,
     track_from_rows,
 )
 from r2ch.characteristics import _DIRECT_MAX, _BandLimitedField, _series, _Spline
-from r2ch.evolution import RunRecord
+from r2ch.evolution import RunRecord, _refine_parabolic, make_diagnostic_row
+
+from conftest import smooth_problem
 
 
 def synthetic_run(u_of_tx, grid, times, params=None):
@@ -42,8 +50,50 @@ def synthetic_run(u_of_tx, grid, times, params=None):
     return rec
 
 
+def division_spline(x, y):
+    """The spline's power-form coefficients and knot integrals as first
+    written: every scale by the knot spacing a true division."""
+    h = np.diff(x)
+    hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
+    d = np.diff(y, axis=0) / hc
+    diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
+    upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
+    s = np.empty_like(d, shape=y.shape)
+    s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) / upper[0]
+    s[1:-1] = 3.0 * (hc[1:] * d[:-1] + hc[:-1] * d[1:])
+    s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
+    for i in range(1, x.size):
+        r = lower[i - 1] / diag[i - 1]
+        diag[i], s[i] = diag[i] - r * upper[i - 1], s[i] - r * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * d) / hc
+    coeffs = (t / hc, (d - s[:-1]) / hc - t, s[:-1], y[:-1])
+    steps = hc * (y[:-1] + y[1:]) / 2.0 + hc * hc * (s[:-1] - s[1:]) / 12.0
+    return coeffs, np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
+
+
 class TestSpline:
-    """The layer's not-a-knot spline against scipy's CubicSpline."""
+    """The layer's not-a-knot spline against scipy's CubicSpline and against
+    its own first, division form."""
+
+    @pytest.mark.parametrize("m", [4, 5, 17, 300])
+    @pytest.mark.parametrize("kind", ["real_1d", "real_2d", "complex_2d"])
+    def test_same_bits_as_division(self, m, kind):
+        # complex data are scaled by the reciprocal of the knot spacing, which
+        # is how numpy divides complex by real; real data keep the division
+        rng = np.random.default_rng(m)
+        x = np.cumsum(rng.uniform(0.05, 1.0, m)) - 3.0
+        shape = (m,) if kind == "real_1d" else (m, 6)
+        y = rng.normal(size=shape)
+        if kind == "complex_2d":
+            y = y + 1j * rng.normal(size=shape)
+        ours = _Spline(x, y)
+        coeffs, integrals = division_spline(x, y)
+        for got, want in zip(ours.coeffs, coeffs):
+            assert np.array_equal(got, want)
+        assert np.array_equal(ours.integrals(), integrals)
 
     @pytest.mark.parametrize("m", [4, 5, 17, 300])
     @pytest.mark.parametrize("complex_2d", [False, True])
@@ -334,6 +384,76 @@ class TestExtremumTrack:
         assert mask.tolist() == [False, True, True, False, False]
 
 
+class TestSnapshotRows:
+    """A snapshot's track point is the run's own row at that instant; only a
+    snapshot the run recorded no row at costs a row's transforms."""
+
+    @staticmethod
+    def small_run(diag_stride):
+        # the smooth reference problem at n = 256
+        params, _, spec = smooth_problem()
+        grid = build_grid(20.0, 256)
+        settings = RunSettings(
+            t_end=0.3, tol=1e-8, dt_max=0.02, snapshot_cadence=1, diag_stride=diag_stride
+        )
+        return run(synthesize(spec, grid), params, grid, settings)
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for attr in ("rfft", "irfft"):
+            fn = getattr(np.fft, attr)
+
+            def counting(*args, _fn=fn, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, attr, counting)
+        return calls
+
+    def test_recorded_rows_cost_no_transform(self, fft_calls):
+        rec = self.small_run(diag_stride=1)
+        assert [r.t for r in rec.rows] == [s.t for s in rec.snapshots]
+        fft_calls.clear()
+        for branch in ("sup", "inf"):
+            track, want = track_extremum(rec, branch), track_from_rows(rec, branch)
+            for name in ("t", "xi", "M", "gamma", "f_along"):
+                assert np.array_equal(getattr(track, name), getattr(want, name)), name
+        assert len(fft_calls) == 0
+
+    def test_unrecorded_snapshot_costs_one_row(self, fft_calls):
+        rec = self.small_run(diag_stride=3)
+        recorded = {r.t: r for r in rec.rows}
+        missing = [s for s in rec.snapshots if s.t not in recorded]
+        assert 0 < len(missing) < len(rec.snapshots)
+        fft_calls.clear()
+        track = track_extremum(rec, "sup")
+        assert len(fft_calls) == 5 * len(missing)
+        kernel = SpectralKernel(rec.params, rec.grid)
+        for i, snap in enumerate(rec.snapshots):
+            row = recorded.get(snap.t) or make_diagnostic_row(
+                snap, math.nan, rec.params, rec.grid, spectra=kernel.forward(snap.u, snap.eta)
+            )
+            assert (track.t[i], track.xi[i], track.M[i], track.gamma[i], track.f_along[i]) == (
+                row.t, row.x_at_sup_ux, row.sup_ux, row.gamma_sup, row.f_at_sup
+            )
+
+    def test_sup_transport_error_matches_grid_slope(self, smooth_run):
+        # the grid sup from each snapshot's samples, refined on the grid
+        grid, stride = smooth_run.grid, 5
+        traj = advect(grid.x[1:].copy(), smooth_run)
+        worst = 0.0
+        for it in range(0, traj.times.size, stride):
+            ux = deriv(smooth_run.snapshots[it].u, grid)
+            _, grid_sup = refined_extremum(ux, grid.x, "max")
+            vals, qs = traj.u_x_along[it], traj.path[it]
+            j = int(np.argmax(vals))
+            assert 0 < j < vals.size - 1
+            _, seed_sup = _refine_parabolic(*qs[j - 1 : j + 2], *vals[j - 1 : j + 2])
+            worst = max(worst, abs(float(seed_sup) - float(grid_sup)))
+        assert abs(sup_transport_error(traj, smooth_run, stride) - worst) <= 1e-12
+
+
 class TestOdeResiduals:
     def test_exact_riccati_track(self):
         # manufactured M, gamma solving the extremum system exactly with a
@@ -371,7 +491,8 @@ class TestOdeResiduals:
 class TestTrackFromRows:
     def test_matches_snapshots_on_smooth_run(self, smooth_run):
         rows_track = track_from_rows(smooth_run, "sup")
-        snap_track = track_extremum(smooth_run, "sup")
+        # without the run's rows every snapshot's row is made from its samples
+        snap_track = track_extremum(dataclasses.replace(smooth_run, rows=[]), "sup")
         # snapshots and rows are both per accepted step on this run
         assert rows_track.t.size == snap_track.t.size
         np.testing.assert_allclose(rows_track.M, snap_track.M, atol=1e-9)

@@ -904,6 +904,34 @@ class TestReflectedRun:
         assert x_inf[1] == pytest.approx(-x_inf[0], abs=1e-9)
 
 
+class TestTranslatedRun:
+    """Rolling the initial data by k cells rolls the run: the criterion-3
+    problem to t = 1 takes the same steps at the same instants, ends with the
+    rolled fields and moves each row's argmax by k dx.  A shift by a multiple
+    of n/4 is exact in the FFT and would prove nothing."""
+
+    @pytest.mark.parametrize("k", [1, 137])
+    def test_rolled_data_roll_the_run(self, k):
+        params, grid, spec = smooth_problem()
+        st = synthesize(spec, grid)
+        rolled = FieldState(0.0, np.roll(st.u, k), np.roll(st.eta, k))
+        settings = RunSettings(
+            t_end=1.0, tol=1e-8, dt_max=0.02, snapshot_cadence=0, diag_stride=1
+        )
+        base, moved = (run(s, params, grid, settings) for s in (st, rolled))
+        assert moved.termination.event == base.termination.event == "reached_t_end"
+        steps = [(r.steps_accepted, r.steps_rejected, r.rhs_evals) for r in (base, moved)]
+        assert steps[0] == steps[1]
+        assert np.array_equal([r.t for r in moved.rows], [r.t for r in base.rows])
+        for name in ("u", "eta"):
+            want = np.roll(getattr(base.final_state, name), k)
+            err = np.max(np.abs(getattr(moved.final_state, name) - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), name
+        L = grid.half_length
+        shift = np.array([r.x_at_sup_ux for r in moved.rows]) - [r.x_at_sup_ux for r in base.rows]
+        assert np.max(np.abs((shift - k * grid.dx + L) % (2 * L) - L)) <= 1e-9
+
+
 class TestRunSettings:
     @pytest.mark.parametrize(
         "changes, message",
