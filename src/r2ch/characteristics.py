@@ -68,7 +68,8 @@ class _Spline:
         upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
         self.s = s = np.empty_like(d, shape=y.shape)
         s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) / upper[0]
-        s[1:-1] = 3.0 * (hc[1:] * d[:-1] + hc[:-1] * d[1:])
+        hp, dp = hc[..., None], _parts(d)  # part by part, not by a complex multiply
+        _parts(s)[1:-1] = 3.0 * (hp[1:] * dp[:-1] + hp[:-1] * dp[1:])
         s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
         for i in range(1, x.size):  # forward sweep
             r = lower[i - 1] / diag[i - 1]
@@ -94,11 +95,16 @@ class _Spline:
         return ((c3 * dt + c2) * dt + c1) * dt + c0
 
 
+def _parts(a: np.ndarray) -> np.ndarray:
+    """Complex ``a`` as its float view (..., 2), real ``a`` as (..., 1)."""
+    return a.view(float).reshape(a.shape + (2,)) if np.iscomplexobj(a) else a[..., None]
+
+
 def _divide(a: np.ndarray, hc: np.ndarray) -> np.ndarray:
     """``a / hc`` in place and bit for bit: numpy divides complex by real as
     (re + im 0) (1/hc), so a complex ``a`` has its float view scaled by 1/hc."""
     if np.iscomplexobj(a):
-        a.view(float).reshape(a.shape + (2,))[...] *= (1.0 / hc)[..., None]
+        _parts(a)[...] *= (1.0 / hc)[..., None]
         return a
     return np.divide(a, hc, out=a)  # the reciprocal would change real bits
 

@@ -4,7 +4,8 @@ Runge-Kutta stepping, diagnostics recording and breaking-time extrapolation.
 The propagated solution is the 4th-order member of the Cash-Karp 5(4) pair,
 stepped in Fourier space with ``numpy.fft``'s batched real transforms (11
 calls per step, see ``step``); the difference to the 5th-order member gives
-the per-step error estimate.
+the per-step error estimate.  That member is unstable on the imaginary axis
+(|R(iy)| is 1.023 at y = 2), so ``run`` caps each step (see ``Z_STAR``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ _CK_B4 = np.array(
 _CK_E = _CK_B5 - _CK_B4
 
 ERR_ABS_FLOOR = 1e-10
+Z_STAR = 4.0  # cap on k_cut dt s: above it, rounding noise in top modes picks steps
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,7 @@ class RunRecord:
     steps_accepted: int = 0
     steps_rejected: int = 0
     rhs_evals: int = 0
+    steps_capped: int = 0  # accepted steps whose dt the stability cap set
     accepted_dt_min: float = math.nan
     accepted_dt_max: float = math.nan
 
@@ -362,13 +365,19 @@ def run(
     initial one included, carries its spectrum and slope through one sequence:
     snapshot at cadence, one rfft of its products (its row and the k1 of every
     step tried from it), blow-up test on its slope, row at stride.  A gap to
-    t_end at or below dt_floor joins the step before it.
+    t_end at or below dt_floor joins the step before it.  Each step is at most
+    Z_STAR / (k_cut s), k_cut the top retained wavenumber and s the larger of
+    max|sigma u - mu| and max|u| (from ``u.max()``, ``u.min()``), and at least
+    1.5 dt_floor, so a state too large to step ends on invariant_violation.
+    Z_STAR is the largest of {1.7, 2.5, 3.2, 4, 5} at which criterion 10's steps
+    and T_est are the same under u0 (1 +- 1e-15), u0 (1 + 2e-15), 1 and 137-cell rolls.
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
     kernel = SpectralKernel(params, grid)
     spectra = kernel.forward(initial.u, initial.eta)
     state = replace(initial, _transforms=(spectra.spectrum, spectra.ux))
     dt = used_dt = min(settings.dt_init, settings.dt_max, settings.t_end)
+    k_cut, sigma, mu = grid.k[grid.dealias_cut - 1], params.sigma, params.mu
 
     def record():
         rec.rows.append(
@@ -418,6 +427,10 @@ def run(
             return finish("invariant_violation", str(exc))
         spectra = None
         rec.rhs_evals += 1
+        u_max, u_min = float(state.u.max()), float(state.u.min())
+        speed = max(abs(sigma * u_max - mu), abs(sigma * u_min - mu), u_max, -u_min)
+        cap = max(Z_STAR / (k_cut * speed), 1.5 * settings.dt_floor) if speed else math.inf
+        dt = min(dt, cap)
         while True:
             gap = settings.t_end - state.t
             dt = gap if gap - dt <= settings.dt_floor else dt
@@ -437,6 +450,7 @@ def run(
         _release(state)
         state = new_state
         rec.steps_accepted += 1
+        rec.steps_capped += used_dt == cap
         rec.accepted_dt_min = min(used_dt, rec.accepted_dt_min)
         rec.accepted_dt_max = max(used_dt, rec.accepted_dt_max)
         dt = min(settings.dt_max, dt * min(5.0, max(0.2, 0.9 * factor)))

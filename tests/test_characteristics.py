@@ -52,7 +52,8 @@ def synthetic_run(u_of_tx, grid, times, params=None):
 
 def division_spline(x, y):
     """The spline's power-form coefficients and knot integrals as first
-    written: every scale by the knot spacing a true division."""
+    written: every scale by the knot spacing a true division or a complex
+    product."""
     h = np.diff(x)
     hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
     d = np.diff(y, axis=0) / hc
@@ -81,8 +82,10 @@ class TestSpline:
     @pytest.mark.parametrize("m", [4, 5, 17, 300])
     @pytest.mark.parametrize("kind", ["real_1d", "real_2d", "complex_2d"])
     def test_same_bits_as_division(self, m, kind):
-        # complex data are scaled by the reciprocal of the knot spacing, which
-        # is how numpy divides complex by real; real data keep the division
+        # complex data are scaled part by part through their float view: by
+        # the reciprocal of the knot spacing, which is how numpy divides
+        # complex by real, and by the spacing in the slopes' right-hand side,
+        # which is how it multiplies them; real data keep the division
         rng = np.random.default_rng(m)
         x = np.cumsum(rng.uniform(0.05, 1.0, m)) - 3.0
         shape = (m,) if kind == "real_1d" else (m, 6)

@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -676,7 +676,9 @@ class TestRunTermination:
         # u0 = a exp(-x^2) under a blow-up threshold it never reaches: with
         # a = 1e150 a stage of the first step squares past the float range,
         # with a = 1e160 the initial state's own tendency does; either way the
-        # run ends on the state it holds, at t = 0, without a numpy warning
+        # run ends on the state it holds, at t = 0, without a numpy warning.
+        # The stability cap (3e-151 at a = 1e150) is held at 1.5 dt_floor, so
+        # the first step is tried rather than ending on step_floor
         p = PhysParams(A=0.5, sigma=1.0, mu=0.2, Omega=0.1)
         g = build_grid(20.0, 256)
         st = FieldState(0.0, amplitude * np.exp(-(g.x**2)), np.zeros(g.n))
@@ -930,6 +932,71 @@ class TestTranslatedRun:
         L = grid.half_length
         shift = np.array([r.x_at_sup_ux for r in moved.rows]) - [r.x_at_sup_ux for r in base.rows]
         assert np.max(np.abs((shift - k * grid.dx + L) % (2 * L) - L)) <= 1e-9
+
+
+class TestStabilityCap:
+    """Each step is at most Z_STAR / (k_cut s), below the imaginary-axis
+    instability of the propagated Cash-Karp member.  The steep breaking run
+    (criteria 10 and 12) then takes steps that rounding noise does not pick,
+    and its top retained modes stay near rounding level while it is smooth."""
+
+    @staticmethod
+    def settings(snapshot_cadence=0):
+        # the settings of the breaking_run fixture
+        return RunSettings(
+            t_end=0.5, tol=1e-8, blowup_threshold=50.0, dt_max=0.01,
+            snapshot_cadence=snapshot_cadence, diag_stride=2, dense_diag_above=15.0,
+        )
+
+    def test_smooth_run_never_capped(self, smooth_run):
+        # no step of the smooth run is set by the cap, so its solve is the
+        # one the controller alone makes, bit for bit
+        assert smooth_run.steps_capped == 0
+
+    def test_breaking_run_counts(self, breaking_run):
+        rec, _ = breaking_run
+        assert rec.steps_capped > 0
+        assert rec.rhs_evals <= 300 and rec.steps_rejected <= 1
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [("scale", 1 + 1e-15), ("scale", 1 - 1e-15), ("scale", 1 + 2e-15),
+         ("roll", 1), ("roll", 137)],
+    )
+    def test_perturbed_data_take_the_same_steps(self, breaking_run, kind, value):
+        base, _ = breaking_run
+        params, grid, spec = breaking_problem()
+        st = synthesize(spec, grid)
+        if kind == "scale":
+            moved = FieldState(0.0, st.u * value, st.eta)
+        else:
+            moved = FieldState(0.0, np.roll(st.u, value), np.roll(st.eta, value))
+        assert not np.array_equal(moved.u, st.u)
+        rec = run(moved, params, grid, self.settings())
+        steps = [(r.termination.event, r.steps_accepted, r.steps_rejected) for r in (base, rec)]
+        assert steps[0] == steps[1]
+        fits = [estimate_T(r.rows, params, "sup", (20.0, 200.0)) for r in (base, rec)]
+        assert fits[1].T_est == pytest.approx(fits[0].T_est, rel=1e-5)
+
+    def test_top_modes_stay_at_rounding_level(self, breaking_run):
+        # tail ratio: the largest |u_hat_m| over the 40 highest retained modes
+        # over the largest |u_hat_m|; it is 1e-9 when noise there grows
+        base, _ = breaking_run
+        params, grid, spec = breaking_problem()
+        rec = run(synthesize(spec, grid), params, grid, self.settings(snapshot_cadence=1))
+        # storing every state leaves the run as it is
+        table = [np.array([astuple(r) for r in x.rows]) for x in (base, rec)]
+        assert np.array_equal(table[0], table[1], equal_nan=True)
+        cut = grid.dealias_cut
+        tails = []
+        for snap in rec.snapshots:
+            if snap.t <= 0.1:
+                uh = np.abs(np.fft.rfft(snap.u))
+                tails.append(uh[cut - 40 : cut].max() / uh.max())
+        assert len(tails) > 10
+        # 1e-12 is the floor of a fit of the spectrum's decay rate; a cap
+        # tighter than Z_STAR = 4 keeps the tail near 1e-16 at more RHS cost
+        assert max(tails) <= 1e-12
 
 
 class TestRunSettings:
