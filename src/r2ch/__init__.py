@@ -69,6 +69,7 @@ from .certificates import (
     lemma31_ceiling,
     monitor_bounds,
     rate_check,
+    riccati_floor,
     thm41_certificate,
     thm42_certificate,
     thm42_constant_N,
@@ -127,6 +128,7 @@ __all__ = [
     "lemma31_ceiling",
     "monitor_bounds",
     "rate_check",
+    "riccati_floor",
     "thm41_certificate",
     "thm42_certificate",
     "thm42_constant_N",

@@ -133,6 +133,18 @@ def thm41_certificate(
     )
 
 
+def riccati_floor(s: float, C: float, sigma: float):
+    """The lower envelope t -> M_low(t) of sup u_x(t) for sigma < 0 from
+    sup u0_x = s above the thm41 threshold c = C/sqrt(-sigma).  Along the
+    steepest slope M' >= a M^2 - b, a = -sigma/2 and b = C^2/2, so sup u_x
+    never falls below the Riccati solution from s, M_low(t) = c coth(sqrt(a b)
+    (T - t)), which is infinite from T = ln((s + c)/(s - c)) / (2 sqrt(a b)) on."""
+    a, b = -0.5 * sigma, 0.5 * C * C
+    c, k = math.sqrt(b / a), math.sqrt(a * b)
+    T = math.log((s + c) / (s - c)) / (2.0 * k)
+    return lambda t: c / math.tanh(k * (T - t)) if t < T else math.inf
+
+
 def thm42_constant_N(E0: float, M_assumed: float, params: PhysParams) -> float:
     """Riccati slack constant for the cubic-moment blow-up condition
     (sigma = 1, mu = 0, density assumed bounded by M_assumed)."""

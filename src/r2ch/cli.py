@@ -44,6 +44,7 @@ from .model import (
     build_grid,
     synthesize,
 )
+from .spectral import deriv
 
 SNAPSHOT_MAGIC = b"R2CHSNAP"
 SNAPSHOT_VERSION = 1
@@ -373,11 +374,17 @@ def _certify(cfg: RunConfig, out_dir: str):
     return state0, certificate
 
 
-def execute_run(cfg: RunConfig, out_dir: str) -> int:
-    """Run one configuration and write all artifacts into out_dir."""
+def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
+    """Run one configuration and write all artifacts into out_dir.  Returns
+    the exit code, and the verdict and certificate as JSON values."""
     state0, certificate = _certify(cfg, out_dir)
     ceiling = certificate.lemma31_ceiling if certificate.lemma31_ceiling is not None else math.nan
-    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, lemma31_ceiling=ceiling)
+    floor = None
+    if certificate.thm41 is not None:
+        # from the grid max of u0_x, the run's own first sup u_x
+        s = float(deriv(state0.u, cfg.grid).max())
+        floor = cert_mod.riccati_floor(s, certificate.C, cfg.params.sigma)
+    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, ceiling, floor)
 
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows)
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -418,6 +425,7 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
     exit_code = {
         "reached_t_end": EXIT_OK,
         "blowup_detected": EXIT_BLOWUP,
+        "under_resolved": EXIT_INVARIANT,
         "invariant_violation": EXIT_INVARIANT,
         "step_floor": EXIT_INVARIANT,
     }[rec.termination.event]
@@ -436,7 +444,7 @@ def execute_run(cfg: RunConfig, out_dir: str) -> int:
         "thm42_validation": thm42_validation,
     }
     write_json(os.path.join(out_dir, "verdict.json"), verdict)
-    return exit_code
+    return exit_code, _jsonable(verdict), _jsonable(certificate)
 
 
 def _load_config(args) -> RunConfig:
@@ -446,7 +454,7 @@ def _load_config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    return execute_run(cfg, args.out or cfg.out_dir)
+    return execute_run(cfg, args.out or cfg.out_dir)[0]
 
 
 def cmd_certify(args) -> int:
@@ -482,12 +490,7 @@ def _sweep_one(payload):
     text, overrides, out_dir = payload
     summary = dict(overrides)
     try:
-        code = execute_run(parse_config(text, overrides), out_dir)
-        with open(os.path.join(out_dir, "verdict.json")) as fh:
-            verdict = json.load(fh)
-        # the certificate that execute_run built and wrote, read back exactly
-        with open(os.path.join(out_dir, "certificate.json")) as fh:
-            certificate = json.load(fh)["certificate"]
+        code, verdict, certificate = execute_run(parse_config(text, overrides), out_dir)
         summary.update(
             status="ok",
             exit_code=code,

@@ -218,7 +218,8 @@ class DiagnosticRow:
 
 @dataclass(frozen=True)
 class Termination:
-    event: str  # reached_t_end | blowup_detected | invariant_violation | step_floor
+    # reached_t_end | blowup_detected | under_resolved | step_floor | invariant_violation
+    event: str
     t: float
     detail: str = ""
 
@@ -356,10 +357,13 @@ def run(
     grid: Grid,
     settings: RunSettings,
     lemma31_ceiling: float = math.nan,
+    slope_floor=None,
 ) -> RunRecord:
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation (a tendency that overflows, so
     numpy's overflow warnings are off).  Every termination is an event.
+    ``slope_floor`` (t -> a lower bound on sup u_x, or None) ends the run on
+    under_resolved at a state whose sup u_x is more than 1e-6 max(1, floor) below.
 
     The run builds its own ``SpectralKernel``.  Each accepted state, the
     initial one included, carries its spectrum and slope through one sequence:
@@ -385,9 +389,9 @@ def run(
         )
 
     def finish(event: str, detail: str = "") -> RunRecord:
-        # a run that ends at t_end or at blow-up ends with its last state's
-        # row and, when it keeps snapshots, that state's snapshot
-        if event in ("blowup_detected", "reached_t_end"):
+        # a run that ends at t_end, at blow-up or under-resolved ends with its
+        # last state's row and, when it keeps snapshots, that state's snapshot
+        if event in ("blowup_detected", "reached_t_end", "under_resolved"):
             if not rec.rows or rec.rows[-1].t < state.t:
                 record()
             if rec.snapshots and rec.snapshots[-1].t < state.t:
@@ -411,9 +415,14 @@ def run(
         if spectra is None:
             spectrum, ux = state._transforms
             spectra = kernel.transform(spectrum, state.u, state.eta, ux)
-        max_abs_ux = float(max(spectra.ux.max(), -spectra.ux.min()))
+        sup_ux = float(spectra.ux.max())
+        max_abs_ux = max(sup_ux, -float(spectra.ux.min()))
         if max_abs_ux >= settings.blowup_threshold:
             return finish("blowup_detected")
+        floor = slope_floor(state.t) if slope_floor else -math.inf
+        if sup_ux < min(floor - 1e-6, floor * (1 - 1e-6)):  # an infinite floor stays inf
+            detail = f"sup u_x {sup_ux!r} at t {float(state.t)!r} below its floor {floor!r}"
+            return finish("under_resolved", detail)
         if state.t >= settings.t_end:
             return finish("reached_t_end")
         if max_abs_ux > settings.dense_diag_above or rec.steps_accepted % settings.diag_stride == 0:
@@ -510,20 +519,17 @@ def estimate_T(
     t = np.array([r.t for r in samples])
     M = np.array([r.sup_ux if branch == "sup" else r.inf_ux for r in samples])
     mask = (np.abs(M) >= lo) & (np.abs(M) <= hi)
-    if np.count_nonzero(mask) < 8:
-        raise FitWindowError(
-            f"only {np.count_nonzero(mask)} samples with |M| in [{lo}, {hi}]"
-        )
-    tw, Mw = t[mask], M[mask]
-    slope, intercept = np.polyfit(tw, 1.0 / Mw, 1)
-    reliable = slope != 0 and (slope * params.sigma > 0) and math.isfinite(slope)
-    T_est = -intercept / slope if slope != 0 else math.inf
-    if not (T_est > tw[-1]):
-        reliable = False
-    return BreakingTimeFit(
-        T_est=float(T_est),
-        slope_est=float(slope),
-        reliable=bool(reliable),
-        n_samples=int(np.count_nonzero(mask)),
-        window=(lo, hi),
-    )
+    tw, y = t[mask], 1.0 / M[mask]
+    if tw.size < 8:
+        raise FitWindowError(f"only {tw.size} samples with |M| in [{lo}, {hi}]")
+    # times below 1e150 that spread over more than 1e-150 keep the sums finite and nonzero
+    if not (np.all(np.abs(tw) < 1e150) and np.ptp(tw) > 1e-150):
+        raise FitWindowError(f"the times of the {tw.size} samples fit no line")
+    # the line through the centred samples, every sum exactly rounded (fsum),
+    # so that no BLAS or LAPACK kernel picks its bits
+    t_mean, y_mean = math.fsum(tw) / tw.size, math.fsum(y) / tw.size
+    dt = tw - t_mean
+    slope = math.fsum(dt * (y - y_mean)) / math.fsum(dt * dt)
+    T_est = t_mean - y_mean / slope if slope != 0 else math.inf
+    reliable = bool(slope * params.sigma > 0 and math.isfinite(slope) and T_est > tw[-1])
+    return BreakingTimeFit(T_est, slope, reliable, tw.size, (lo, hi))

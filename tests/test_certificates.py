@@ -22,6 +22,7 @@ from r2ch import (
     lemma31_ceiling,
     monitor_bounds,
     rate_check,
+    riccati_floor,
     synthesize,
     thm41_certificate,
     thm42_certificate,
@@ -30,6 +31,8 @@ from r2ch import (
 from r2ch import crosscheck
 from r2ch.certificates import SUP_NORM_INFLATION, refined_sup_abs
 from r2ch.evolution import DiagnosticRow, RunRecord
+
+from conftest import breaking_problem
 
 
 def params_strategy():
@@ -133,6 +136,39 @@ class TestThm41:
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
         with pytest.raises(ValueError):
             thm41_certificate(st0.u, g, C, p)
+
+
+class TestRiccatiFloor:
+    """The lower envelope of sup u_x on the criterion-10 data, started at the
+    grid max of u0_x."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        params, grid, spec = breaking_problem()
+        st0 = synthesize(spec, grid)
+        cert = build_certificate(st0, params, grid)
+        s = float(deriv(st0.u, grid).max())
+        return s, cert, params.sigma, riccati_floor(s, cert.C, params.sigma)
+
+    def test_starts_at_s_and_solves_riccati(self, data):
+        s, cert, sigma, floor = data
+        assert floor(0.0) == pytest.approx(s, rel=1e-14)
+        # M' = a M^2 - b, by central differences
+        a, b, h = -sigma / 2, cert.C**2 / 2, 1e-6
+        for t in (0.0, 0.1, 0.2, 0.3):
+            M = floor(t)
+            assert (floor(t + h) - floor(t - h)) / (2 * h) == pytest.approx(
+                a * M * M - b, rel=1e-6
+            )
+
+    def test_blows_up_at_T_within_T1_bound(self, data):
+        s, cert, sigma, floor = data
+        c = cert.C / math.sqrt(-sigma)
+        T = math.log((s + c) / (s - c)) / (cert.C * math.sqrt(-sigma))
+        assert round(T, 4) == 0.3127
+        assert floor(T * (1 - 1e-12)) > 1e10
+        assert floor(T * (1 + 1e-12)) == math.inf and floor(1.0) == math.inf
+        assert T <= cert.thm41.T1_bound
 
 
 class TestThm42:

@@ -384,6 +384,48 @@ class TestCommands:
         assert verdict["exit_code"] == 3
         assert math.isfinite(json.load(open(out / "certificate.json"))["certificate"]["C"])
 
+    def test_run_under_resolved_exit_3(self, tmp_path):
+        # at n = 4096 the steep data fall below their certified envelope of
+        # sup u_x at t = 0.240, before it blows up at T = 0.3127: exit 3, not
+        # a run to t_end = 0.8 past the lifespan bound T1 = 0.6724
+        text = STEEP.replace("16384", "4096").replace("t_end = 0.5", "t_end = 0.8")
+        cfg = self.write_cfg(tmp_path, text + "fit.m_lo = 20\nfit.m_hi = 40\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        verdict = json.load(open(out / "verdict.json"))
+        assert verdict["termination"]["event"] == "under_resolved"
+        assert verdict["termination"]["t"] == pytest.approx(0.240, abs=1e-3)
+        assert verdict["exit_code"] == 3 and verdict["fit"] is None
+        # the run ends with the row of the state it flagged
+        last = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1]
+        assert last.t == verdict["termination"]["t"]
+
+    @pytest.mark.parametrize(
+        "text, floored",
+        [
+            (BASIC, False),  # sigma > 0
+            (STEEP.replace("16384", "1024").replace("a=9.0", "a=1.0"), False),  # no thm41
+            # the peak of u0_x half a cell off the nodes: an envelope started
+            # at the refined witness, not the grid max, would flag t = 0
+            (STEEP.replace("16384", "1024").replace("w=0.1", "w=0.1, x_c=0.0048828125"), True),
+        ],
+        ids=["sigma_positive", "no_thm41", "thm41_off_node"],
+    )
+    def test_floor_only_with_thm41(self, tmp_path, monkeypatch, text, floored):
+        floors = []
+        real = cli.run_sim
+
+        def run_sim(*args):
+            floors.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_sim", run_sim)
+        text = text.replace("t_end = 0.5", "t_end = 0.01")
+        out = tmp_path / "out"
+        assert main(["run", "--config", self.write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        certificate = json.load(open(out / "certificate.json"))["certificate"]
+        assert (certificate["thm41"] is not None) == floored == (floors[0] is not None)
+
     @pytest.mark.parametrize("early", [False, True])
     def test_run_rate_needs_breaking_time_past_last_row(self, tmp_path, monkeypatch, early):
         # the steep data at n = 1024 with G = 16 fits a reliable T_est near

@@ -30,6 +30,7 @@ from r2ch import (
     eval_f,
     refined_extremum,
     rhs,
+    riccati_floor,
     run,
     step,
     synthesize,
@@ -805,6 +806,35 @@ class TestEstimateT:
         with pytest.raises(FitWindowError):
             estimate_T(rows, p, "sup", (20.0, 100.0))
 
+    def test_matches_polyfit(self, breaking_run):
+        # the closed-form line against LAPACK least squares on criterion 10's rows
+        rec, _ = breaking_run
+        params = breaking_problem()[0]
+        fit = estimate_T(rec.rows, params, "sup", (20.0, 200.0))
+        t = np.array([r.t for r in rec.rows])
+        M = np.array([r.sup_ux for r in rec.rows])
+        inside = (M >= 20.0) & (M <= 200.0)
+        slope, intercept = np.polyfit(t[inside], 1.0 / M[inside], 1)
+        assert fit.n_samples == np.count_nonzero(inside) >= 8
+        assert fit.slope_est == pytest.approx(slope, rel=1e-12)
+        assert fit.T_est == pytest.approx(-intercept / slope, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [None, 1e-170, math.nan, math.inf, 1e308])
+    def test_times_that_fit_no_line_raise(self, bad):
+        # one time for every sample, times whose squared spread underflows,
+        # or a time that is not finite or too large for the sums: a
+        # diagnostics.csv read back can hold any of them
+        p = PhysParams(A=0.0, sigma=-1.0, mu=0.0, Omega=0.0)
+        if bad is None:
+            times = [0.5] * 10
+        elif bad < 1:
+            times = [bad * i for i in range(10)]
+        else:
+            times = [0.1 * i for i in range(9)] + [bad]
+        rows = [make_row(t, sup_ux=30.0 + i) for i, t in enumerate(times)]
+        with pytest.raises(FitWindowError, match="the times of the 10 samples fit no line"):
+            estimate_T(rows, p, "sup", (20.0, 200.0))
+
     @pytest.mark.parametrize("branch", ["max", "min", "Sup", ""])
     def test_unknown_branch_raises(self, branch):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
@@ -1012,3 +1042,66 @@ class TestRunSettings:
     def test_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             RunSettings(t_end=1.0, **changes)
+
+
+class TestSlopeFloor:
+    """A run given a lower envelope of sup u_x (``slope_floor``) ends
+    under_resolved at the first state more than 1e-6 max(1, floor) below it;
+    a run that stays above it is not moved."""
+
+    @staticmethod
+    def steep(n, x_c=0.0):
+        params = PhysParams(A=0.5, sigma=-1.0, mu=0.0, Omega=0.1)
+        grid = build_grid(5.0, n)
+        spec = InitialDataSpec(u_terms=(ProfileTerm("slope_bump", 9.0, 0.1, x_c),))
+        st = synthesize(spec, grid)
+        return params, grid, st, build_certificate(st, params, grid)
+
+    def test_criterion_10_run_unmoved(self, breaking_run):
+        base, cert = breaking_run
+        params, grid, spec = breaking_problem()
+        st = synthesize(spec, grid)
+        floor = riccati_floor(float(deriv(st.u, grid).max()), cert.C, params.sigma)
+        rec = run(st, params, grid, TestStabilityCap.settings(), slope_floor=floor)
+        ends = [(r.termination.event, r.steps_accepted, r.steps_rejected) for r in (base, rec)]
+        assert ends[0] == ends[1] == ("blowup_detected", 47, 1)
+        table = [np.array([astuple(r) for r in x.rows]) for x in (base, rec)]
+        assert np.array_equal(table[0], table[1], equal_nan=True)
+        fits = [estimate_T(r.rows, params, "sup", (20.0, 200.0)) for r in (base, rec)]
+        assert fits[0] == fits[1]
+        assert all(r.sup_ux >= floor(r.t) for r in rec.rows)
+
+    def test_off_node_peak_not_flagged(self):
+        # the peak of u0_x half a cell off the nodes: the envelope from the
+        # grid max holds over the first steps, while one from the refined
+        # witness (4.5e-4 relative above it) flags t = 0
+        params, grid, st, cert = self.steep(4096, x_c=build_grid(5.0, 4096).dx / 2)
+        s, witness = float(deriv(st.u, grid).max()), cert.thm41.u0x_at_witness
+        assert witness > s * (1 + 4e-4)
+        settings = RunSettings(t_end=0.05, snapshot_cadence=0)
+        ends = []
+        for start in (s, witness):
+            rec = run(st, params, grid, settings, slope_floor=riccati_floor(start, cert.C, -1.0))
+            ends.append((rec.termination.event, rec.termination.t, rec.steps_accepted))
+        assert ends == [("reached_t_end", 0.05, 9), ("under_resolved", 0.0, 0)]
+
+    @pytest.mark.parametrize(
+        "floor, flagged",
+        [(0.5e-6, False), (2e-6, True), (math.inf, True), (9.0 * (1 + 0.5e-6), False),
+         (9.0 * (1 + 2e-6), True)],
+    )
+    def test_tolerance(self, floor, flagged):
+        # a zero state (sup u_x = 0, tolerance 1e-6) and steep data whose sup
+        # u_x starts at 9 and rises (tolerance 9e-6), under constant floors
+        if floor < 1:
+            p, g = PhysParams(A=0.0, sigma=-1.0, mu=0.0, Omega=0.0), build_grid(10.0, 256)
+            st = FieldState(0.0, np.zeros(g.n), np.zeros(g.n))
+        else:
+            p, g, st, _ = self.steep(1024)
+        sup0 = float(deriv(st.u, g).max())
+        settings = RunSettings(t_end=0.005, snapshot_cadence=0)
+        rec = run(st, p, g, settings, slope_floor=lambda t: floor)
+        assert rec.termination.event == ("under_resolved" if flagged else "reached_t_end")
+        if flagged:
+            assert rec.termination.t == 0.0 and len(rec.rows) == 1
+            assert rec.termination.detail == f"sup u_x {sup0!r} at t 0.0 below its floor {floor!r}"
