@@ -69,7 +69,6 @@ from .certificates import (
     lemma31_ceiling,
     monitor_bounds,
     rate_check,
-    riccati_floor,
     thm41_certificate,
     thm42_certificate,
     thm42_constant_N,
@@ -128,7 +127,6 @@ __all__ = [
     "lemma31_ceiling",
     "monitor_bounds",
     "rate_check",
-    "riccati_floor",
     "thm41_certificate",
     "thm42_certificate",
     "thm42_constant_N",

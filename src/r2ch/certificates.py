@@ -8,7 +8,8 @@ numerically.  Simulation corroborates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,11 +135,13 @@ def thm41_certificate(
 
 
 def riccati_floor(s: float, C: float, sigma: float):
-    """The lower envelope t -> M_low(t) of sup u_x(t) for sigma < 0 from
-    sup u0_x = s above the thm41 threshold c = C/sqrt(-sigma).  Along the
-    steepest slope M' >= a M^2 - b, a = -sigma/2 and b = C^2/2, so sup u_x
-    never falls below the Riccati solution from s, M_low(t) = c coth(sqrt(a b)
-    (T - t)), which is infinite from T = ln((s + c)/(s - c)) / (2 sqrt(a b)) on."""
+    """The lower envelope t -> M_low(t) of sup u_x(t) from sup u0_x = s, or
+    None unless sigma < 0 and s lies above the thm41 threshold c = C/sqrt(-sigma).
+    Along the steepest slope M' >= a M^2 - b, a = -sigma/2 and b = C^2/2, so
+    sup u_x never falls below M_low(t) = c coth(sqrt(a b) (T - t)), which is
+    infinite from T = ln((s + c)/(s - c)) / (2 sqrt(a b)) on."""
+    if not (sigma < 0 and s > C / math.sqrt(-sigma)):
+        return None
     a, b = -0.5 * sigma, 0.5 * C * C
     c, k = math.sqrt(b / a), math.sqrt(a * b)
     T = math.log((s + c) / (s - c)) / (2.0 * k)
@@ -224,6 +227,8 @@ class Certificate:
     thm42: Thm42Certificate | None
     K2: float
     rate_target: float | None
+    # riccati_floor from the grid max of u0_x; not written to certificate.json
+    slope_floor: Callable[[float], float] | None = field(default=None, repr=False, compare=False)
 
 
 def _finite(name: str, compute) -> float:
@@ -279,6 +284,7 @@ def build_certificate(
         thm42=thm42,
         K2=K2,
         rate_target=(-2.0 / params.sigma) if params.sigma != 0 else None,
+        slope_floor=riccati_floor(float(u0x.max()), C, params.sigma),
     )
 
 

@@ -44,7 +44,6 @@ from .model import (
     build_grid,
     synthesize,
 )
-from .spectral import deriv
 
 SNAPSHOT_MAGIC = b"R2CHSNAP"
 SNAPSHOT_VERSION = 1
@@ -330,8 +329,9 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
+    if hasattr(obj, "__dataclass_fields__"):  # a field hidden from repr is not written
+        fields = obj.__dataclass_fields__.items()
+        return {k: _jsonable(getattr(obj, k)) for k, f in fields if f.repr}
     if isinstance(obj, np.ndarray):
         return [_jsonable(float(v)) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
@@ -379,12 +379,7 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
     the exit code, and the verdict and certificate as JSON values."""
     state0, certificate = _certify(cfg, out_dir)
     ceiling = certificate.lemma31_ceiling if certificate.lemma31_ceiling is not None else math.nan
-    floor = None
-    if certificate.thm41 is not None:
-        # from the grid max of u0_x, the run's own first sup u_x
-        s = float(deriv(state0.u, cfg.grid).max())
-        floor = cert_mod.riccati_floor(s, certificate.C, cfg.params.sigma)
-    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, ceiling, floor)
+    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, ceiling, certificate.slope_floor)
 
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows)
     snap_dir = os.path.join(out_dir, "snapshots")

@@ -363,7 +363,8 @@ def run(
     the dt floor, or an invariant violation (a tendency that overflows, so
     numpy's overflow warnings are off).  Every termination is an event.
     ``slope_floor`` (t -> a lower bound on sup u_x, or None) ends the run on
-    under_resolved at a state whose sup u_x is more than 1e-6 max(1, floor) below.
+    under_resolved at a state whose grid max of u_x, and then its refined
+    peak, lie more than 1e-6 max(1, floor) below.
 
     The run builds its own ``SpectralKernel``.  Each accepted state, the
     initial one included, carries its spectrum and slope through one sequence:
@@ -420,8 +421,11 @@ def run(
         if max_abs_ux >= settings.blowup_threshold:
             return finish("blowup_detected")
         floor = slope_floor(state.t) if slope_floor else -math.inf
-        if sup_ux < min(floor - 1e-6, floor * (1 - 1e-6)):  # an infinite floor stays inf
-            detail = f"sup u_x {sup_ux!r} at t {float(state.t)!r} below its floor {floor!r}"
+        bound = min(floor - 1e-6, floor * (1 - 1e-6))  # an infinite floor stays inf
+        # the grid max misses a peak between nodes, so the refined peak decides
+        sup = float(refined_extremum(spectra.ux, grid.x, "max")[1]) if sup_ux < bound else sup_ux
+        if sup < bound:
+            detail = f"sup u_x {sup!r} at t {float(state.t)!r} below its floor {floor!r}"
             return finish("under_resolved", detail)
         if state.t >= settings.t_end:
             return finish("reached_t_end")

@@ -22,14 +22,13 @@ from r2ch import (
     lemma31_ceiling,
     monitor_bounds,
     rate_check,
-    riccati_floor,
     synthesize,
     thm41_certificate,
     thm42_certificate,
     thm42_constant_N,
 )
 from r2ch import crosscheck
-from r2ch.certificates import SUP_NORM_INFLATION, refined_sup_abs
+from r2ch.certificates import SUP_NORM_INFLATION, refined_sup_abs, riccati_floor
 from r2ch.evolution import DiagnosticRow, RunRecord
 
 from conftest import breaking_problem
@@ -169,6 +168,11 @@ class TestRiccatiFloor:
         assert floor(T * (1 - 1e-12)) > 1e10
         assert floor(T * (1 + 1e-12)) == math.inf and floor(1.0) == math.inf
         assert T <= cert.thm41.T1_bound
+
+    @pytest.mark.parametrize("s, sigma", [(1.0, -1.0), (0.5, -1.0), (3.0, 0.0), (3.0, 1.0)])
+    def test_none_unless_above_threshold(self, s, sigma):
+        # with C = 1 the threshold is 1 for sigma = -1; sigma >= 0 has none
+        assert riccati_floor(s, 1.0, sigma) is None
 
 
 class TestThm42:

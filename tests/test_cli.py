@@ -56,6 +56,9 @@ run.snapshot_cadence = 0
 run.diag_stride = 2
 """
 
+# half a cell of the n = 1024 grid on [-5, 5)
+OFF_NODE = 10.0 / 1024 / 2
+
 
 class TestParseConfig:
     def test_basic(self):
@@ -386,7 +389,7 @@ class TestCommands:
 
     def test_run_under_resolved_exit_3(self, tmp_path):
         # at n = 4096 the steep data fall below their certified envelope of
-        # sup u_x at t = 0.240, before it blows up at T = 0.3127: exit 3, not
+        # sup u_x at t = 0.243, before it blows up at T = 0.3127: exit 3, not
         # a run to t_end = 0.8 past the lifespan bound T1 = 0.6724
         text = STEEP.replace("16384", "4096").replace("t_end = 0.5", "t_end = 0.8")
         cfg = self.write_cfg(tmp_path, text + "fit.m_lo = 20\nfit.m_hi = 40\n")
@@ -394,24 +397,28 @@ class TestCommands:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         verdict = json.load(open(out / "verdict.json"))
         assert verdict["termination"]["event"] == "under_resolved"
-        assert verdict["termination"]["t"] == pytest.approx(0.240, abs=1e-3)
+        assert verdict["termination"]["t"] == pytest.approx(0.243, abs=1e-3)
         assert verdict["exit_code"] == 3 and verdict["fit"] is None
         # the run ends with the row of the state it flagged
         last = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1]
         assert last.t == verdict["termination"]["t"]
 
     @pytest.mark.parametrize(
-        "text, floored",
+        "text, thm41, floored",
         [
-            (BASIC, False),  # sigma > 0
-            (STEEP.replace("16384", "1024").replace("a=9.0", "a=1.0"), False),  # no thm41
-            # the peak of u0_x half a cell off the nodes: an envelope started
-            # at the refined witness, not the grid max, would flag t = 0
-            (STEEP.replace("16384", "1024").replace("w=0.1", "w=0.1, x_c=0.0048828125"), True),
+            (BASIC, False, False),  # sigma > 0
+            (STEEP.replace("16384", "1024").replace("a=9.0", "a=1.0"), False, False),
+            # the peak of u0_x half a cell off the nodes: the floor starts at
+            # the grid max 8.936, the witness is 8.999
+            (STEEP.replace("16384", "1024").replace("w=0.1", f"w=0.1, x_c={OFF_NODE}"), True, True),
+            # the grid max 2.7304 lies below the threshold 2.7475, which only
+            # the refined witness 2.7497 passes: thm41 holds, with no floor
+            (STEEP.replace("16384", "1024").replace("9.0, w=0.1", f"2.75, w=0.1, x_c={OFF_NODE}"),
+             True, False),
         ],
-        ids=["sigma_positive", "no_thm41", "thm41_off_node"],
+        ids=["sigma_positive", "no_thm41", "thm41_off_node", "thm41_grid_max_below_threshold"],
     )
-    def test_floor_only_with_thm41(self, tmp_path, monkeypatch, text, floored):
+    def test_floor_only_with_thm41(self, tmp_path, monkeypatch, text, thm41, floored):
         floors = []
         real = cli.run_sim
 
@@ -424,7 +431,9 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["run", "--config", self.write_cfg(tmp_path, text), "--out", str(out)]) == 0
         certificate = json.load(open(out / "certificate.json"))["certificate"]
-        assert (certificate["thm41"] is not None) == floored == (floors[0] is not None)
+        assert (certificate["thm41"] is not None) == thm41
+        assert (floors[0] is not None) == floored
+        assert "slope_floor" not in certificate
 
     @pytest.mark.parametrize("early", [False, True])
     def test_run_rate_needs_breaking_time_past_last_row(self, tmp_path, monkeypatch, early):

@@ -30,12 +30,12 @@ from r2ch import (
     eval_f,
     refined_extremum,
     rhs,
-    riccati_floor,
     run,
     step,
     synthesize,
     thm42_certificate,
 )
+from r2ch.certificates import riccati_floor
 from r2ch.crosscheck import direct_conv_oracle
 from r2ch.evolution import (
     DiagnosticRow,
@@ -1060,8 +1060,7 @@ class TestSlopeFloor:
     def test_criterion_10_run_unmoved(self, breaking_run):
         base, cert = breaking_run
         params, grid, spec = breaking_problem()
-        st = synthesize(spec, grid)
-        floor = riccati_floor(float(deriv(st.u, grid).max()), cert.C, params.sigma)
+        floor, st = cert.slope_floor, synthesize(spec, grid)
         rec = run(st, params, grid, TestStabilityCap.settings(), slope_floor=floor)
         ends = [(r.termination.event, r.steps_accepted, r.steps_rejected) for r in (base, rec)]
         assert ends[0] == ends[1] == ("blowup_detected", 47, 1)
@@ -1072,18 +1071,33 @@ class TestSlopeFloor:
         assert all(r.sup_ux >= floor(r.t) for r in rec.rows)
 
     def test_off_node_peak_not_flagged(self):
-        # the peak of u0_x half a cell off the nodes: the envelope from the
-        # grid max holds over the first steps, while one from the refined
-        # witness (4.5e-4 relative above it) flags t = 0
+        # the peak of u0_x half a cell off the nodes, its grid max 4.5e-4
+        # relative below the refined witness: the certificate's envelope
+        # starts at the grid max, and neither it nor one from the witness
+        # flags the first steps, since a grid max below the floor is
+        # confirmed at the refined peak (the witness at t = 0)
         params, grid, st, cert = self.steep(4096, x_c=build_grid(5.0, 4096).dx / 2)
         s, witness = float(deriv(st.u, grid).max()), cert.thm41.u0x_at_witness
-        assert witness > s * (1 + 4e-4)
+        assert witness > s * (1 + 4e-4) and cert.slope_floor(0.0) == s
         settings = RunSettings(t_end=0.05, snapshot_cadence=0)
-        ends = []
-        for start in (s, witness):
-            rec = run(st, params, grid, settings, slope_floor=riccati_floor(start, cert.C, -1.0))
-            ends.append((rec.termination.event, rec.termination.t, rec.steps_accepted))
-        assert ends == [("reached_t_end", 0.05, 9), ("under_resolved", 0.0, 0)]
+        for floor in (cert.slope_floor, riccati_floor(witness, cert.C, -1.0)):
+            rec = run(st, params, grid, settings, slope_floor=floor)
+            ends = (rec.termination.event, rec.termination.t, rec.steps_accepted)
+            assert ends == ("reached_t_end", 0.05, 9)
+
+    def test_peak_crossing_a_cell_not_flagged(self):
+        # mu = 2 carries the peak of u_x left across more than a cell while
+        # sup u_x rises from 1 (sigma < 0); the grid max dips below 1 as the
+        # peak passes between nodes, and the refined peak stays above it
+        p, g = PhysParams(A=0.0, sigma=-1.0, mu=2.0, Omega=0.0), build_grid(10.0, 256)
+        st = synthesize(InitialDataSpec(u_terms=(ProfileTerm("slope_bump", 1.0, 0.5, 0.0),)), g)
+        settings = RunSettings(t_end=0.05, snapshot_cadence=1)
+        rec = run(st, p, g, settings, slope_floor=lambda t: 1.0)
+        assert rec.termination.event == "reached_t_end"
+        grid_max = [float(deriv(state.u, g).max()) for state in rec.snapshots]
+        assert grid_max[0] == 1.0 and min(grid_max) < 1.0 - 1e-3
+        assert all(r.sup_ux > 1.0 for r in rec.rows[1:])  # rows hold the refined peak
+        assert rec.rows[-1].x_at_sup_ux < -g.dx
 
     @pytest.mark.parametrize(
         "floor, flagged",
@@ -1098,7 +1112,7 @@ class TestSlopeFloor:
             st = FieldState(0.0, np.zeros(g.n), np.zeros(g.n))
         else:
             p, g, st, _ = self.steep(1024)
-        sup0 = float(deriv(st.u, g).max())
+        sup0 = float(refined_extremum(deriv(st.u, g), g.x, "max")[1])
         settings = RunSettings(t_end=0.005, snapshot_cadence=0)
         rec = run(st, p, g, settings, slope_floor=lambda t: floor)
         assert rec.termination.event == ("under_resolved" if flagged else "reached_t_end")
