@@ -338,8 +338,6 @@ def monitor_bounds(
 
 @dataclass(frozen=True)
 class RateCheck:
-    t: np.ndarray
-    product: np.ndarray
     final_mean: float
     target: float
     rel_error: float
@@ -351,24 +349,15 @@ def rate_check(
     T_est: float,
     params: PhysParams,
     window: tuple[float, float] = (20.0, 200.0),
-    allow_unvalidated: bool = False,
 ) -> RateCheck:
     """The product (T_est - t) * M(t) against its limit -2/sigma, as its mean
     over the last quarter of the window's time span.
 
-    Proven only for sigma < 0 on the sup branch; for sigma >= 0 the analogous
-    product is exploratory and must be requested explicitly, and comes back
-    flagged as unvalidated.
+    Proven only for sigma < 0 on the sup branch, where it comes back
+    validated; any other product is exploratory and comes back unvalidated.
     """
-    validated = params.sigma < 0 and track.branch == "sup"
-    if not validated and not allow_unvalidated:
-        raise ValueError(
-            "the blow-up rate is proven only for sigma < 0 on the sup branch; "
-            "pass allow_unvalidated=True for exploratory output"
-        )
     if not T_est > track.t[-1]:
         raise ValueError("T_est must exceed the last sample time")
-    product = (T_est - track.t) * track.M
     lo, hi = window
     mask = (np.abs(track.M) >= lo) & (np.abs(track.M) <= hi)
     if not np.any(mask):
@@ -376,13 +365,11 @@ def rate_check(
     tw = track.t[mask]
     t_cut = tw[-1] - 0.25 * (tw[-1] - tw[0])
     final = mask & (track.t >= t_cut)
-    final_mean = float(np.mean(product[final]))
+    final_mean = float(np.mean((T_est - track.t[final]) * track.M[final]))
     target = -2.0 / params.sigma
     return RateCheck(
-        t=track.t,
-        product=product,
         final_mean=final_mean,
         target=target,
         rel_error=abs(final_mean - target) / abs(target),
-        validated=validated,
+        validated=params.sigma < 0 and track.branch == "sup",
     )

@@ -345,13 +345,6 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _rate_payload(rate: cert_mod.RateCheck | None) -> dict | None:
-    """The scalar results of a rate check, without its sample arrays."""
-    if rate is None:
-        return None
-    return {k: getattr(rate, k) for k in ("final_mean", "target", "rel_error", "validated")}
-
-
 # ----------------------------------------------------------------------------
 # commands
 
@@ -374,6 +367,27 @@ def _certify(cfg: RunConfig, out_dir: str):
     return state0, certificate
 
 
+def fit_and_rate(rows: list[DiagnosticRow], cfg: RunConfig) -> tuple[dict | None, dict | None]:
+    """The ``fit`` and ``rate`` JSON values of verdict.json and rate.json.
+
+    A fit only when the two-sided detector fires on the rows, through inf u_x
+    for sigma > 0 and sup u_x otherwise, or ``{"error": ...}`` when too few
+    rows fall in the window; a rate for a reliable fit whose T_est lies past
+    the last row, validated only for sigma < 0."""
+    if detect_blowup(rows, 0.0, cfg.settings.blowup_threshold) is None:
+        return None, None
+    branch = "inf" if cfg.params.sigma > 0 else "sup"
+    try:
+        fit = estimate_T(rows, cfg.params, branch, cfg.fit_window)
+    except FitWindowError as exc:
+        return {"error": str(exc)}, None
+    rate = None
+    if fit.reliable and fit.T_est > rows[-1].t:
+        track = track_from_rows(RunRecord(cfg.params, cfg.grid, cfg.settings, rows=rows), branch)
+        rate = cert_mod.rate_check(track, fit.T_est, cfg.params, window=cfg.fit_window)
+    return _jsonable(fit), _jsonable(rate)
+
+
 def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
     """Run one configuration and write all artifacts into out_dir.  Returns
     the exit code, and the verdict and certificate as JSON values."""
@@ -392,21 +406,9 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
     # the two-sided detector of the general scenario, recorded alongside
     twosided = detect_blowup(rec.rows, 0.0, cfg.settings.blowup_threshold)
 
-    track_sup = track_from_rows(rec, "sup")
-    violations = cert_mod.monitor_bounds(rec, certificate, track_sup, cfg.params)
+    violations = cert_mod.monitor_bounds(rec, certificate, track_from_rows(rec, "sup"), cfg.params)
 
-    fit = None
-    rate = None
-    if rec.termination.event == "blowup_detected":
-        branch = "inf" if cfg.params.sigma > 0 else "sup"
-        try:
-            fit = estimate_T(rec.rows, cfg.params, branch, cfg.fit_window)
-        except FitWindowError as exc:
-            fit = {"error": str(exc)}
-        else:
-            # the rate product needs a breaking time past the last row
-            if fit.reliable and cfg.params.sigma < 0 and fit.T_est > track_sup.t[-1]:
-                rate = cert_mod.rate_check(track_sup, fit.T_est, cfg.params, window=cfg.fit_window)
+    fit, rate = fit_and_rate(rec.rows, cfg)
 
     thm42_validation = None
     if cfg.m_assumed is not None:
@@ -435,7 +437,7 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
         "monitor_violations": violations,
         "boundary_leak_max": max(r.boundary_leak for r in rec.rows),
         "fit": fit,
-        "rate": _rate_payload(rate),
+        "rate": rate,
         "thm42_validation": thm42_validation,
     }
     write_json(os.path.join(out_dir, "verdict.json"), verdict)
@@ -459,24 +461,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    """Breaking-time extrapolation and rate product from a completed run."""
+    """verdict.json's fit and rate, from the diagnostics.csv of a completed run."""
     cfg = _load_config(args)
     out_dir = args.out or cfg.out_dir
-    rows = read_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"))
-    branch = "inf" if cfg.params.sigma > 0 else "sup"
-    fit = estimate_T(rows, cfg.params, branch, cfg.fit_window)
-    rate = None
-    if fit.reliable:
-        track = track_from_rows(RunRecord(cfg.params, cfg.grid, cfg.settings, rows=rows), branch)
-        rate = cert_mod.rate_check(
-            track,
-            fit.T_est,
-            cfg.params,
-            window=cfg.fit_window,
-            allow_unvalidated=cfg.params.sigma >= 0,
-        )
-    write_json(os.path.join(out_dir, "rate.json"), {"fit": fit, "rate": _rate_payload(rate)})
-    print(f"T_est = {fit.T_est!r}  slope = {fit.slope_est!r}  reliable = {fit.reliable}")
+    fit, rate = fit_and_rate(read_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv")), cfg)
+    write_json(os.path.join(out_dir, "rate.json"), {"fit": fit, "rate": rate})
+    print(f"fit = {json.dumps(fit)}  rate = {json.dumps(rate)}")
     return EXIT_OK
 
 

@@ -425,13 +425,14 @@ class TestRateCheck:
         assert rc.rel_error <= 1e-12
         assert rc.validated
 
-    def test_sigma_positive_needs_flag(self):
+    def test_sigma_positive_unvalidated(self):
+        # the rate is proven for sigma < 0 only: sigma > 0 gives the same
+        # product, flagged as exploratory
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
         track = self.synthetic_track(sigma=1.0)
-        with pytest.raises(ValueError):
-            rate_check(track, 1.0, p, window=(10.0, 1e4))
-        rc = rate_check(track, 1.0, p, window=(10.0, 1e4), allow_unvalidated=True)
-        assert not rc.validated
+        rc = rate_check(track, 1.0, p, window=(10.0, 1e4))
+        assert rc.validated is False
+        assert rc.final_mean == pytest.approx(-2.0, rel=1e-12) and rc.target == -2.0
 
     def test_t_est_must_exceed_samples(self):
         p = PhysParams(A=0.0, sigma=-1.0, mu=0.0, Omega=0.0)

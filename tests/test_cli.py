@@ -267,6 +267,14 @@ class TestCommands:
         p.write_text(text)
         return str(p)
 
+    def assert_rate_matches_verdict(self, cfg, out):
+        # r2ch rate on a run's directory writes the fit and rate of its verdict
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+        verdict = json.load(open(out / "verdict.json"))
+        rate = json.load(open(out / "rate.json"))
+        assert rate == {"fit": verdict["fit"], "rate": verdict["rate"]}
+        return rate
+
     def test_run_smoke(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         out = str(tmp_path / "out")
@@ -305,12 +313,13 @@ class TestCommands:
     def test_run_fit_window_error_recorded(self, tmp_path):
         # the default window (20, G/2 = 25) holds too few rows for a fit
         cfg = self.write_cfg(tmp_path, STEEP)
-        out = str(tmp_path / "out")
-        assert main(["run", "--config", cfg, "--out", out]) == 2
-        verdict = json.load(open(tmp_path / "out" / "verdict.json"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        verdict = json.load(open(out / "verdict.json"))
         assert list(verdict["fit"]) == ["error"]
         assert "samples with |M| in [20.0, 25.0]" in verdict["fit"]["error"]
         assert verdict["rate"] is None
+        self.assert_rate_matches_verdict(cfg, out)
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
@@ -402,6 +411,7 @@ class TestCommands:
         # the run ends with the row of the state it flagged
         last = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1]
         assert last.t == verdict["termination"]["t"]
+        self.assert_rate_matches_verdict(cfg, out)
 
     @pytest.mark.parametrize(
         "text, thm41, floored",
@@ -439,7 +449,8 @@ class TestCommands:
     def test_run_rate_needs_breaking_time_past_last_row(self, tmp_path, monkeypatch, early):
         # the steep data at n = 1024 with G = 16 fits a reliable T_est near
         # 0.22, past its last row at t = 0.11; a fit whose T_est does not pass
-        # the last row (the early case moves it onto that row) gets no rate
+        # the last row (the early case moves it onto that row) gets no rate,
+        # from r2ch run and from r2ch rate alike
         if early:
             fit = cli.estimate_T
             monkeypatch.setattr(
@@ -447,13 +458,30 @@ class TestCommands:
                 lambda rows, *a: dataclasses.replace(fit(rows, *a), T_est=rows[-1].t),
             )
         text = STEEP.replace("16384", "1024").replace("= 50", "= 16")
-        text += "fit.m_lo = 10\nfit.m_hi = 15\n"
+        cfg = self.write_cfg(tmp_path, text + "fit.m_lo = 10\nfit.m_hi = 15\n")
         out = tmp_path / "out"
-        assert main(["run", "--config", self.write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         verdict = json.load(open(out / "verdict.json"))
         last_t = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1].t
         assert verdict["fit"]["reliable"] and (verdict["fit"]["T_est"] > last_t) != early
         assert (verdict["rate"] is None) == early
+        self.assert_rate_matches_verdict(cfg, out)
+
+    @pytest.mark.parametrize("a, code", [(-12, 0), (-15, 2)], ids=["no_break", "breaks"])
+    def test_rate_sigma_positive(self, tmp_path, a, code):
+        # the steep profile mirrored for sigma = 1 at n = 2048 and G = 40:
+        # a = -12 reaches t_end = 0.5 below G, a = -15 breaks at t = 0.0941
+        text = STEEP.replace("sigma = -1", "sigma = 1").replace("16384", "2048")
+        text = text.replace("a=9.0", f"a={a}").replace("= 50", "= 40")
+        cfg = self.write_cfg(tmp_path, text + "fit.m_lo = 16\nfit.m_hi = 30\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        rate = self.assert_rate_matches_verdict(cfg, out)
+        if code == 0:  # no breaking time for a run that never broke
+            assert rate == {"fit": None, "rate": None}
+        else:  # the exploratory rate of the inf branch, near its limit -2/sigma
+            assert rate["fit"]["reliable"] and rate["rate"]["validated"] is False
+            assert rate["rate"]["final_mean"] == pytest.approx(-2.0, rel=0.02)
 
     @pytest.mark.parametrize("m_assumed, validated", [(1.2, True), (1.1, False)])
     def test_run_thm42_validation(self, tmp_path, m_assumed, validated):
@@ -480,11 +508,10 @@ class TestCommands:
 
     def test_rate_from_existing_run(self, tmp_path):
         cfg = self.write_cfg(tmp_path, STEEP + "fit.m_lo = 15\n")
-        out = str(tmp_path / "out")
-        assert main(["run", "--config", cfg, "--out", out]) == 2
-        assert main(["rate", "--config", cfg, "--out", out]) == 0
-        rate = json.load(open(tmp_path / "out" / "rate.json"))
-        assert rate["fit"]["reliable"]
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        rate = self.assert_rate_matches_verdict(cfg, out)
+        assert rate["fit"]["reliable"] and rate["rate"]["validated"]
         assert rate["fit"]["T_est"] > 0
 
     def test_rate_without_run_exit_4(self, tmp_path):
@@ -496,9 +523,18 @@ class TestCommands:
         csv = tmp_path / "out" / "diagnostics.csv"
         csv.parent.mkdir()
         write_diagnostics_csv(str(csv), sample_rows())
-        csv.write_text(csv.read_text().replace("0.29999999999999999", "x", 1))
-        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
-        assert "config error:" in capsys.readouterr().err
+        text = csv.read_text()
+        # a field that is no number, and a header without rows: an empty
+        # series is no run, not a run without blow-up
+        for damaged, message in (
+            (text.replace("0.29999999999999999", "x", 1), "diagnostics.csv: line 2"),
+            (text.splitlines()[0] + "\n", "empty diagnostic series"),
+        ):
+            csv.write_text(damaged)
+            assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert not (tmp_path / "out" / "rate.json").exists()
 
     def test_sweep(self, tmp_path):
         cfg = self.write_cfg(
