@@ -36,11 +36,7 @@ from .spectral import SpectralKernel, eval_f  # noqa: F401  (the benchmark wraps
 _OVERSAMPLE = 2
 _HALF_WIDTH = 12
 # A call with at most this many query points sums the series directly; one
-# with more grids.  Whole `advect` calls (16 snapshots, one substep), best of 9
-# on a shared 2-core Xeon: at 24 points the direct sum took 5.4, 10.4 and 33.2
-# ms against gridding's 5.8, 11.2 and 39.6 ms at n = 1024, 4096 and 2^14; at
-# 32 points gridding won at n = 1024 and 4096 (5.7 against 6.0 ms, 12.0
-# against 14.2 ms).
+# with more grids (README.md gives the timings of whole `advect` calls).
 _DIRECT_MAX = 24
 
 
@@ -114,9 +110,9 @@ class _BandLimitedField:
 
     In the angle theta = pi (x + L) / L the field is sum_m c_m exp(i m theta),
     and one time spline holds the snapshots' rfft coefficients c_m.  A call
-    returns the field and its x-derivative, summed by the way it picks from
-    its number of query points, with that sum's weights applied to the time
-    slice:
+    returns the field and its x-derivative as the rows of one (2, P) array,
+    summed by the way it picks from its number P of query points, with that
+    sum's weights applied to the time slice:
 
     - up to ``_DIRECT_MAX``, the series weighted 2/n (1/n at m = 0 and at the
       Nyquist mode, shared by +-n/2), with exp(i m theta) = exp(i K a theta)
@@ -126,10 +122,10 @@ class _BandLimitedField:
       gives a series whose values on the oversampled grid, convolved with g,
       return the field at any point.  The weight of the fine node at distance
       d0 - h j is E1 E2^j E3_j = exp(-d0^2/4tau) exp(d0 h/2tau)^j
-      exp(-h^2 j^2/4tau): two exp per point and a constant column.
+      exp(-h^2 j^2/4tau): two exp per point and a constant column.  One take
+      gathers nodes node + j, j = 1 - W .. W, indexed from the weights' memory.
 
-    A call at the instant and by the sum of the call before reuses that
-    call's time slice.
+    A call at the instant and by the sum of the call before reuses its slice.
     """
 
     def __init__(self, times: np.ndarray, fields: np.ndarray, grid: Grid):
@@ -151,8 +147,8 @@ class _BandLimitedField:
 
     def _slice(self, t: float, direct: bool) -> np.ndarray:
         """Coefficients of (field, x-derivative) at t: for the direct sum the
-        padded buffer as (2, a, b); for gridding, windows whose entry i + 1
-        holds the fine-grid values at nodes i + 1 - W .. i + W, periodically."""
+        padded buffer as (2, a, b); for gridding, the fine-grid values padded
+        periodically by W columns either side, fine node i at column i + W."""
         if (t, direct) != self._key:
             ch = self.spline_t(t)
             if direct:
@@ -167,12 +163,11 @@ class _BandLimitedField:
                 W = _HALF_WIDTH
                 ch *= self.grid_weight
                 fine = np.fft.irfft(np.stack([ch, self.ik * ch]), n=self.n_fine)
-                fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)
-                rows = np.lib.stride_tricks.sliding_window_view(fine, 2 * W, axis=1)
+                rows = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)
             self._key, self._rows = (t, direct), rows
         return self._rows
 
-    def __call__(self, t: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, t: float, q: np.ndarray) -> np.ndarray:
         direct = q.size <= _DIRECT_MAX
         rows = self._slice(t, direct)
         L = self.half_length
@@ -180,15 +175,18 @@ class _BandLimitedField:
         if direct:
             low = np.exp(1j * np.multiply.outer(self.low, theta))
             high = np.exp(1j * np.multiply.outer(self.high, theta))
-            f, fx = np.einsum("fap,ap->fp", rows @ low, high).real
-            return f, fx
+            return np.einsum("fap,ap->fp", rows @ low, high).real
         W, h, tau = _HALF_WIDTH, self.h, self.tau
         # fine node at or below theta (theta may round up to 2 pi)
         node = np.minimum(np.floor(theta / h), self.n_fine - 1)
+        # gather columns node + j + W first, indexing from the weights' memory: a
+        # separate index block made the heap trim and fault back in every call
+        w = np.empty((2 * W, q.size))
+        ix = np.add(node.astype(int), np.arange(1, 2 * W + 1)[:, None], out=w.view(int))
+        stencil = np.take(rows, ix, axis=1)
         d0 = theta - node * h
         # w[W - 1 + j] = E1 E2^j E3_j for j = 1 - W .. W
         e2 = np.exp(d0 * (0.5 * h / tau))
-        w = np.empty((2 * W, q.size))
         w[W - 1] = np.exp(d0 * d0 * (-0.25 / tau))
         for j in range(W, 2 * W):
             np.multiply(w[j - 1], e2, out=w[j])
@@ -196,8 +194,7 @@ class _BandLimitedField:
         for j in range(W - 2, -1, -1):
             np.multiply(w[j + 1], e2, out=w[j])
         w *= self.e3
-        f, fx = np.einsum("fpj,jp->fp", rows[:, node.astype(int) + 1], w)
-        return f, fx
+        return np.einsum("fjp,jp->fp", stencil, w)
 
 
 @dataclass
@@ -227,7 +224,7 @@ def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     L = run.grid.half_length
-    if np.any(seeds < -L) or np.any(seeds >= L):
+    if not np.all((seeds >= -L) & (seeds < L)):  # NaN fails both
         raise ValueError("seeds must lie inside [-L, L)")
     field = _series(run, "u")
     ts = field.spline_t.x

@@ -427,8 +427,11 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
         "step_floor": EXIT_INVARIANT,
     }[rec.termination.event]
 
+    termination = dataclasses.asdict(rec.termination)
+    if not termination["detail"]:  # reached_t_end and blowup_detected carry none
+        del termination["detail"]
     verdict = {
-        "termination": {"event": rec.termination.event, "t": rec.termination.t},
+        "termination": termination,
         "exit_code": exit_code,
         "detectors": {
             "regime_specific": event,

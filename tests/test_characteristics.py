@@ -34,7 +34,7 @@ from r2ch import (
     track_extremum,
     track_from_rows,
 )
-from r2ch.characteristics import _DIRECT_MAX, _BandLimitedField, _series, _Spline
+from r2ch.characteristics import _DIRECT_MAX, _HALF_WIDTH, _BandLimitedField, _series, _Spline
 from r2ch.evolution import RunRecord, _refine_parabolic, make_diagnostic_row
 
 from conftest import smooth_problem
@@ -244,6 +244,21 @@ class TestAdvect:
         with pytest.raises(ValueError):
             advect(np.array([10.0]), rec)
 
+    @pytest.mark.parametrize(
+        "seeds",
+        [[math.nan], [math.inf], [-math.inf], [math.nan] * 30,
+         np.append(np.linspace(-9.0, 9.0, 40), math.nan)],
+        ids=["nan", "inf", "-inf", "30nan", "one_nan_of_41"],
+    )
+    def test_non_finite_seeds(self, seeds):
+        # a seed that is not finite is out of [-L, L) too: refused before any
+        # evaluation, by the direct sum (one point) or by gridding (30, 41)
+        g = build_grid(10.0, 256)
+        times = np.linspace(0.0, 1.0, 11)
+        rec = synthetic_run(lambda t, x: np.zeros_like(x), g, times)
+        with pytest.raises(ValueError, match=r"seeds must lie inside \[-L, L\)"):
+            advect(np.array(seeds), rec)
+
     def test_sample_along_recovers_field(self):
         # frozen u = sin(k x) at mode n/3 with eta zero: u, u_x and rho = 1
         # sampled along the paths match the closed forms at those off-grid
@@ -345,6 +360,50 @@ class TestBandLimitedField:
                 direct = np.concatenate([c[i] for c in chunks])
                 bound = 1e-12 * np.max(np.abs(scale[i]))
                 assert np.max(np.abs(direct - gridded[i])) <= bound, (t, i)
+
+    def test_gridding_matches_window_transcription(self):
+        # gridding gives the bits of its first form: each point's 2W fine
+        # values read as one window of a copy of the fine grid padded by W
+        # columns either side, contracted as (f, p, j) against (j, p); the
+        # seam is covered (at L = 12.5 the theta of L - 2 ulp rounds to 2 pi,
+        # which the node clamp takes back to the last fine node), and so are
+        # points advected out of the box and slices reused across calls
+        g = build_grid(12.5, 1024)
+        times = np.linspace(0.0, 1.0, 9)
+        x = g.x
+        F = np.stack([np.exp(-((x - 3 * t) ** 2)) * np.sin(x + t) for t in times])
+        field = _BandLimitedField(times, F, g)
+        L, W, h, tau = g.half_length, _HALF_WIDTH, field.h, field.tau
+
+        def window_gridding(t, q):
+            ch = field.spline_t(t) * field.grid_weight
+            fine = np.fft.irfft(np.stack([ch, field.ik * ch]), n=field.n_fine)
+            fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)
+            windows = np.lib.stride_tricks.sliding_window_view(fine, 2 * W, axis=1)
+            theta = ((q + L) % (2.0 * L)) * (math.pi / L)
+            node = np.minimum(np.floor(theta / h), field.n_fine - 1)
+            d0 = theta - node * h
+            e2 = np.exp(d0 * (0.5 * h / tau))
+            w = np.empty((2 * W, q.size))
+            w[W - 1] = np.exp(d0 * d0 * (-0.25 / tau))
+            for j in range(W, 2 * W):
+                np.multiply(w[j - 1], e2, out=w[j])
+            np.reciprocal(e2, out=e2)
+            for j in range(W - 2, -1, -1):
+                np.multiply(w[j + 1], e2, out=w[j])
+            w *= field.e3
+            return np.einsum("fpj,jp->fp", windows[:, node.astype(int) + 1], w)
+
+        rng = np.random.default_rng(11)
+        edges = np.array([-L, L - 2 * np.spacing(L), L - 1e-13, 1.5 * L, -1.5 * L])
+        assert ((edges[1] + L) % (2.0 * L)) * (math.pi / L) == 2.0 * math.pi
+        for t in (0.37, 0.37, 1.0):
+            for size in (_DIRECT_MAX + 1, 4095):
+                q = np.concatenate([edges, rng.uniform(-L, L, size - edges.size)])
+                f, fx = field(t, q)
+                assert field._key == (t, False)
+                expect = window_gridding(t, q)
+                assert np.array_equal(f, expect[0]) and np.array_equal(fx, expect[1]), (t, size)
 
 
 class TestExtremumTrack:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -392,7 +393,9 @@ class TestCommands:
         # the run turns the overflow into its exit code, without a numpy warning
         assert err == "" and caught == []
         verdict = json.load(open(out / "verdict.json"))
-        assert verdict["termination"] == {"event": "invariant_violation", "t": 0.0}
+        assert verdict["termination"] == {
+            "event": "invariant_violation", "t": 0.0, "detail": "non-finite tendency"
+        }
         assert verdict["exit_code"] == 3
         assert math.isfinite(json.load(open(out / "certificate.json"))["certificate"]["C"])
 
@@ -407,6 +410,11 @@ class TestCommands:
         verdict = json.load(open(out / "verdict.json"))
         assert verdict["termination"]["event"] == "under_resolved"
         assert verdict["termination"]["t"] == pytest.approx(0.243, abs=1e-3)
+        # the detail names the refined sup u_x, its instant and the floor it fell below
+        sup, t, floor = re.fullmatch(
+            r"sup u_x (\S+) at t (\S+) below its floor (\S+)", verdict["termination"]["detail"]
+        ).groups()
+        assert float(t) == verdict["termination"]["t"] and float(sup) < float(floor)
         assert verdict["exit_code"] == 3 and verdict["fit"] is None
         # the run ends with the row of the state it flagged
         last = read_diagnostics_csv(str(out / "diagnostics.csv"))[-1]
