@@ -45,10 +45,12 @@ class SnapshotCadenceError(ValueError):
 
 
 class _Spline:
-    """Not-a-knot cubic spline (de Boor 1978, ch. IV) along axis 0 of real or
-    complex ``y`` at 4+ increasing knots ``x``: slopes by two in-place sweeps
-    of the tridiagonal system scipy's ``CubicSpline`` solves (scaled by
-    ``_divide``), power-form ``coeffs`` and integrals from x[0] to knots."""
+    """Not-a-knot cubic spline (de Boor 1978, ch. IV) along axis 0 of real
+    ``y`` at 4+ increasing knots ``x``: slopes by two in-place sweeps of the
+    tridiagonal system scipy's ``CubicSpline`` solves, power-form ``coeffs``
+    and integrals from x[0] to knots.  Every division by a knot spacing or a
+    pivot is a product with its reciprocal, as numpy divides complex by real,
+    so the float view of complex data keeps the bits of their complex spline."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x = np.asarray(x, dtype=float)
@@ -57,27 +59,27 @@ class _Spline:
         h = np.diff(x)
         if not np.all(h > 0):
             raise ValueError("spline knots must be strictly increasing")
-        self.y = y = np.asarray(y)
+        self.y = y = np.asarray(y).astype(float, casting="safe", copy=False)  # complex: TypeError
         self.hc = hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
-        d = _divide(np.diff(y, axis=0), hc)
+        inv = np.broadcast_to(1.0 / hc, y[1:].shape)  # equal shapes let numpy reuse temporaries
+        d = np.diff(y, axis=0) * inv
         diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
         upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
-        self.s = s = np.empty_like(d, shape=y.shape)
-        s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) / upper[0]
-        hp, dp = hc[..., None], _parts(d)  # part by part, not by a complex multiply
-        _parts(s)[1:-1] = 3.0 * (hp[1:] * dp[:-1] + hp[:-1] * dp[1:])
-        s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
+        self.s = s = np.empty_like(y)
+        s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) * (1.0 / upper[0])
+        s[1:-1] = 3.0 * (hc[1:] * d[:-1] + hc[:-1] * d[1:])
+        s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) * (1.0 / lower[-1])
         for i in range(1, x.size):  # forward sweep
             r = lower[i - 1] / diag[i - 1]
             diag[i] -= r * upper[i - 1]
             s[i] -= r * s[i - 1]
-        s[-1] /= diag[-1]
+        s[-1] *= 1.0 / diag[-1]
         for i in range(x.size - 2, -1, -1):  # back substitution
             s[i] -= upper[i] * s[i + 1]
-            s[i] /= diag[i]
-        t = _divide(s[:-1] + s[1:] - 2.0 * d, hc)
-        c2 = _divide(d - s[:-1], hc) - t
-        self.coeffs = (_divide(t, hc), c2, s[:-1], y[:-1])
+            s[i] *= 1.0 / diag[i]
+        t = (s[:-1] + s[1:] - 2.0 * d) * inv
+        self.coeffs = (t, (d - s[:-1]) * inv - t, s[:-1], y[:-1])
+        t *= inv  # the cubic coefficient, once the quadratic one has used t
 
     def integrals(self) -> np.ndarray:
         y, s, hc = self.y, self.s, self.hc
@@ -91,28 +93,14 @@ class _Spline:
         return ((c3 * dt + c2) * dt + c1) * dt + c0
 
 
-def _parts(a: np.ndarray) -> np.ndarray:
-    """Complex ``a`` as its float view (..., 2), real ``a`` as (..., 1)."""
-    return a.view(float).reshape(a.shape + (2,)) if np.iscomplexobj(a) else a[..., None]
-
-
-def _divide(a: np.ndarray, hc: np.ndarray) -> np.ndarray:
-    """``a / hc`` in place and bit for bit: numpy divides complex by real as
-    (re + im 0) (1/hc), so a complex ``a`` has its float view scaled by 1/hc."""
-    if np.iscomplexobj(a):
-        _parts(a)[...] *= (1.0 / hc)[..., None]
-        return a
-    return np.divide(a, hc, out=a)  # the reciprocal would change real bits
-
-
 class _BandLimitedField:
     """Space-time interpolant of a snapshot series on the periodic box.
 
     In the angle theta = pi (x + L) / L the field is sum_m c_m exp(i m theta),
-    and one time spline holds the snapshots' rfft coefficients c_m.  A call
-    returns the field and its x-derivative as the rows of one (2, P) array,
-    summed by the way it picks from its number P of query points, with that
-    sum's weights applied to the time slice:
+    and one time spline holds the float view of the snapshots' rfft
+    coefficients c_m.  A call returns the field and its x-derivative as the
+    rows of one (2, P) array, summed by the way it picks from its number P of
+    query points, with that sum's weights applied to the time slice:
 
     - up to ``_DIRECT_MAX``, the series weighted 2/n (1/n at m = 0 and at the
       Nyquist mode, shared by +-n/2), with exp(i m theta) = exp(i K a theta)
@@ -130,7 +118,7 @@ class _BandLimitedField:
 
     def __init__(self, times: np.ndarray, fields: np.ndarray, grid: Grid):
         n, self.half_length, self.ik = grid.n, grid.half_length, grid.ik
-        self.spline_t = _Spline(times, np.fft.rfft(fields, axis=1))
+        self.spline_t = _Spline(times, np.fft.rfft(fields, axis=1).view(float))
         m = np.arange(n // 2 + 1)
         K = math.isqrt(n)
         self.low, self.high = np.arange(K, dtype=float), np.arange(0.0, m.size, K)
@@ -150,7 +138,7 @@ class _BandLimitedField:
         padded buffer as (2, a, b); for gridding, the fine-grid values padded
         periodically by W columns either side, fine node i at column i + W."""
         if (t, direct) != self._key:
-            ch = self.spline_t(t)
+            ch = self.spline_t(t).view(complex)
             if direct:
                 if self.padded is None:  # zero-padded to a multiple of K
                     self.padded = np.zeros((2, self.high.size * self.low.size), dtype=complex)
@@ -209,8 +197,8 @@ class Trajectory:
 def _series(run: RunRecord, quantity: str) -> _BandLimitedField:
     """The interpolant of one stored quantity (u | rho | eta) of a run."""
     ts = np.array([s.t for s in run.snapshots])
-    if np.any(np.diff(ts) <= 0):
-        raise SnapshotCadenceError("snapshot times must be strictly increasing")
+    if ts.size < 4 or np.any(np.diff(ts) <= 0):
+        raise SnapshotCadenceError("need at least 4 snapshots at strictly increasing times")
     return _BandLimitedField(ts, np.stack([getattr(s, quantity) for s in run.snapshots]), run.grid)
 
 
@@ -218,8 +206,6 @@ def advect(seeds: np.ndarray, run: RunRecord, substeps: int = 1) -> Trajectory:
     """Integrate dq/dt = u(t, q) from every seed, together with the
     variational equation dJ/dt = u_x(t, q) J, with classical RK4 over the
     snapshot instants."""
-    if len(run.snapshots) < 4:
-        raise SnapshotCadenceError("need at least 4 snapshots for cubic time interpolation")
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))

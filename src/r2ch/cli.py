@@ -194,12 +194,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         base = key.removeprefix("sweep.")
         if base not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if base != key:
-            sweep_lists[base] = _split_top_level(value)
-        elif key in values:
+        if base in (values if base == key else sweep_lists):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        else:
+        if base == key:
             values[key] = value
+        elif options := _split_top_level(value):
+            sweep_lists[base] = options
+        else:
+            raise ConfigError(f"line {lineno}: empty sweep list {key!r}")
     for key, value in (overrides or {}).items():
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
@@ -263,6 +265,8 @@ def _read_seed_list(path: str) -> list[dict[str, str]]:
                     if key not in _KNOWN_KEYS:
                         raise ConfigError(f"{where}: unknown key {key!r}")
                 sets.append(overrides)
+    if not sets:
+        raise ConfigError(f"{path}: no override sets")
     return sets
 
 
@@ -324,7 +328,7 @@ def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return None if math.isnan(obj) else obj
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -492,7 +496,8 @@ def _sweep_one(payload):
             T_est=(verdict["fit"] or {}).get("T_est"),
             rate_final_mean=(verdict["rate"] or {}).get("final_mean"),
         )
-    except (OSError, ValueError) as exc:  # a bad point never aborts the sweep; a bug does
+    except (OSError, ValueError, MemoryError) as exc:
+        # a bad point, or a grid too large to allocate, never aborts the sweep; a bug does
         summary.update(status=f"error: {exc}", exit_code=EXIT_CONFIG)
     return summary
 
@@ -589,8 +594,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
-        # ConfigError, DecayViolation and FitWindowError are ValueErrors
+    except (OSError, ValueError, MemoryError) as exc:
+        # ConfigError, DecayViolation and FitWindowError are ValueErrors; a
+        # MemoryError is a grid too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

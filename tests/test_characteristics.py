@@ -50,71 +50,91 @@ def synthetic_run(u_of_tx, grid, times, params=None):
     return rec
 
 
-def division_spline(x, y):
+def transcribed_spline(x, y, div):
     """The spline's power-form coefficients and knot integrals as first
-    written: every scale by the knot spacing a true division or a complex
-    product."""
+    written, in complex arithmetic for complex y, with every scale by a knot
+    spacing or a pivot spelled ``div``; the integrals are those of the float
+    view of y."""
     h = np.diff(x)
     hc = h.reshape((-1,) + (1,) * (y.ndim - 1))
-    d = np.diff(y, axis=0) / hc
+    d = div(np.diff(y, axis=0), hc)
     diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
     upper, lower = np.append(x[2] - x[0], h[:-1]), np.append(h[1:], x[-1] - x[-3])
     s = np.empty_like(d, shape=y.shape)
-    s[0] = ((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1]) / upper[0]
+    s[0] = div((h[0] + 2.0 * upper[0]) * h[1] * d[0] + h[0] ** 2 * d[1], upper[0])
     s[1:-1] = 3.0 * (hc[1:] * d[:-1] + hc[:-1] * d[1:])
-    s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1]) / lower[-1]
+    s[-1] = div(h[-1] ** 2 * d[-2] + (2.0 * lower[-1] + h[-1]) * h[-2] * d[-1], lower[-1])
     for i in range(1, x.size):
         r = lower[i - 1] / diag[i - 1]
         diag[i], s[i] = diag[i] - r * upper[i - 1], s[i] - r * s[i - 1]
-    s[-1] /= diag[-1]
+    s[-1] = div(s[-1], diag[-1])
     for i in range(x.size - 2, -1, -1):
-        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
-    t = (s[:-1] + s[1:] - 2.0 * d) / hc
-    coeffs = (t / hc, (d - s[:-1]) / hc - t, s[:-1], y[:-1])
+        s[i] = div(s[i] - upper[i] * s[i + 1], diag[i])
+    t = div(s[:-1] + s[1:] - 2.0 * d, hc)
+    coeffs = (div(t, hc), div(d - s[:-1], hc) - t, s[:-1], y[:-1])
+    y, s = y.view(float), s.view(float)
     steps = hc * (y[:-1] + y[1:]) / 2.0 + hc * hc * (s[:-1] - s[1:]) / 12.0
     return coeffs, np.concatenate([np.zeros_like(steps[:1]), np.cumsum(steps, axis=0)])
 
 
+def reciprocal(a, b):
+    return a * (1.0 / b)
+
+
 class TestSpline:
     """The layer's not-a-knot spline against scipy's CubicSpline and against
-    its own first, division form."""
+    its first, division form."""
 
     @pytest.mark.parametrize("m", [4, 5, 17, 300])
     @pytest.mark.parametrize("kind", ["real_1d", "real_2d", "complex_2d"])
     def test_same_bits_as_division(self, m, kind):
-        # complex data are scaled part by part through their float view: by
-        # the reciprocal of the knot spacing, which is how numpy divides
-        # complex by real, and by the spacing in the slopes' right-hand side,
-        # which is how it multiplies them; real data keep the division
+        # the float view of complex data keeps the bits of their complex
+        # spline with true divisions, which numpy does part by part as a
+        # product with the reciprocal of the real divisor; real data are
+        # scaled by the reciprocal too
         rng = np.random.default_rng(m)
         x = np.cumsum(rng.uniform(0.05, 1.0, m)) - 3.0
         shape = (m,) if kind == "real_1d" else (m, 6)
         y = rng.normal(size=shape)
         if kind == "complex_2d":
             y = y + 1j * rng.normal(size=shape)
-        ours = _Spline(x, y)
-        coeffs, integrals = division_spline(x, y)
-        for got, want in zip(ours.coeffs, coeffs):
+            ours = _Spline(x, y.view(float))
+            coeffs, integrals = transcribed_spline(x, y, np.divide)
+            coeffs = [c.view(float) for c in coeffs]
+        else:
+            ours = _Spline(x, y)
+            coeffs, integrals = transcribed_spline(x, y, reciprocal)
+        for got, want in zip(ours.coeffs, coeffs, strict=True):
             assert np.array_equal(got, want)
         assert np.array_equal(ours.integrals(), integrals)
 
     @pytest.mark.parametrize("m", [4, 5, 17, 300])
     @pytest.mark.parametrize("complex_2d", [False, True])
     def test_matches_cubic_spline(self, m, complex_2d):
+        # complex data through their float view, as the layer splines them
         rng = np.random.default_rng(m)
         x = np.cumsum(rng.uniform(0.05, 1.0, m)) - 3.0
         if complex_2d:
             y = rng.normal(size=(m, 6)) + 1j * rng.normal(size=(m, 6))
+            ours = _Spline(x, y.view(float))
         else:
             y = rng.normal(size=m)
-        ours, ref = _Spline(x, y), CubicSpline(x, y, axis=0)
+            ours = _Spline(x, y)
+        ref = CubicSpline(x, y, axis=0)
         tq = np.linspace(x[0], x[-1], 101)
-        got = np.stack([ours(t) for t in tq])
+        got = np.stack([ours(t).view(y.dtype) for t in tq])
         want = ref(tq)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         anti = ref.antiderivative()
         want_int = anti(x) - anti(x[0])
-        assert np.max(np.abs(ours.integrals() - want_int)) <= 1e-12 * np.max(np.abs(want_int))
+        got_int = ours.integrals().view(y.dtype)
+        assert np.max(np.abs(got_int - want_int)) <= 1e-12 * np.max(np.abs(want_int))
+
+    def test_refuses_complex(self):
+        # a cast to float would drop the imaginary part with only a warning
+        y = np.ones((4, 3)) + 1j
+        with pytest.raises(TypeError):
+            _Spline(np.arange(4.0), y)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_needs_four_knots(self, m):
@@ -195,8 +215,13 @@ class TestAdvect:
     def test_needs_enough_snapshots(self):
         g = build_grid(10.0, 256)
         rec = synthetic_run(lambda t, x: np.zeros_like(x), g, np.array([0.0, 0.5]))
-        with pytest.raises(SnapshotCadenceError):
+        with pytest.raises(SnapshotCadenceError, match="at least 4 snapshots"):
             advect(np.array([0.0]), rec)
+        # every series of a run is checked, not only the one advect reads
+        traj = advect(np.array([0.0]), synthetic_run(lambda t, x: 0 * x, g, np.arange(4.0)))
+        rec = synthetic_run(lambda t, x: np.zeros_like(x), g, np.arange(3.0))
+        with pytest.raises(SnapshotCadenceError, match="at least 4 snapshots"):
+            sample_along(traj, rec, "rho")
 
     @pytest.mark.parametrize("times", [[0.0, 0.2, 0.1, 0.3, 0.4], [0.0, 0.1, 0.1, 0.2, 0.3]])
     def test_snapshot_times_must_increase(self, times):
@@ -376,7 +401,7 @@ class TestBandLimitedField:
         L, W, h, tau = g.half_length, _HALF_WIDTH, field.h, field.tau
 
         def window_gridding(t, q):
-            ch = field.spline_t(t) * field.grid_weight
+            ch = field.spline_t(t).view(complex) * field.grid_weight
             fine = np.fft.irfft(np.stack([ch, field.ik * ch]), n=field.n_fine)
             fine = np.concatenate([fine[:, -W:], fine, fine[:, :W]], axis=1)
             windows = np.lib.stride_tricks.sliding_window_view(fine, 2 * W, axis=1)

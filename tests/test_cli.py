@@ -110,6 +110,9 @@ class TestParseConfig:
         )
         assert cfg.sweep_lists["params.sigma"] == ["0.5", "1.0", "2.0"]
         assert len(cfg.sweep_lists["init.u"]) == 2
+        # a second list for one key is refused like any duplicate, not merged
+        with pytest.raises(ConfigError, match="line 12: duplicate key 'sweep.params.sigma'"):
+            parse_config(BASIC + "sweep.params.sigma = 0.5, 1.0\nsweep.params.sigma = 2.0\n")
 
     def test_unknown_sweep_key(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -522,6 +525,38 @@ class TestCommands:
         assert rate["fit"]["reliable"] and rate["rate"]["validated"]
         assert rate["fit"]["T_est"] > 0
 
+    def test_rate_flat_fit_writes_null(self, tmp_path, capsys):
+        # M = 30 at every row of the fit window and then 1000: the fit line is
+        # flat, slope 0 and T_est = inf, which strict JSON has no number for
+        rows = [
+            dataclasses.replace(sample_rows()[0], t=0.01 * i, sup_ux=30.0 if i < 11 else 1e3)
+            for i in range(12)
+        ]
+        out = tmp_path / "out"
+        out.mkdir()
+        write_diagnostics_csv(str(out / "diagnostics.csv"), rows)
+        cfg = self.write_cfg(tmp_path, "params.A = 0.5\nparams.sigma = -1\nparams.Omega = 0.1\n")
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        rate = json.loads((out / "rate.json").read_text(), parse_constant=refuse)
+        assert rate["fit"]["T_est"] is None and rate["fit"]["reliable"] is False
+        printed = capsys.readouterr().out
+        assert '"T_est": null' in printed and "Infinity" not in printed
+
+    def test_allocation_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate (as grid.n = 2^40 is) ends in a message
+        def build_grid(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(cli, "build_grid", build_grid)
+        cfg = self.write_cfg(tmp_path, BASIC)
+        code = main(["certify", "--config", cfg, "--out", str(tmp_path / "c")])
+        assert code == 4
+        assert capsys.readouterr().err == "config error: Unable to allocate 8.00 TiB\n"
+
     def test_rate_without_run_exit_4(self, tmp_path):
         cfg = self.write_cfg(tmp_path, BASIC)
         assert main(["rate", "--config", cfg, "--out", str(tmp_path / "empty")]) == 4
@@ -612,11 +647,17 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "params.mu = 0.0\nparams.mu 0.3\n", "params.mu = 0.0\nparams.muu = 0.1\n"],
+        [
+            None,
+            "params.mu = 0.0\nparams.mu 0.3\n",
+            "params.mu = 0.0\nparams.muu = 0.1\n",
+            "# only comments\n\n   # and blanks\n",
+        ],
     )
     def test_sweep_bad_seed_list_exit_4(self, tmp_path, capsys, content):
-        # a missing seed list, a line without '=', and an unknown key (checked
-        # before any point runs)
+        # a missing seed list, a line without '=', an unknown key and a list
+        # without any override set, an empty axis of no points (checked before
+        # any point runs)
         cfg = self.write_cfg(tmp_path, BASIC)
         seeds = tmp_path / "seeds.txt"
         if content is not None:
@@ -637,6 +678,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: sweep point 1:") and "abc" in err
         assert not (tmp_path / "sw").exists()  # no point ran
+
+    def test_sweep_empty_list_exit_4(self, tmp_path, capsys):
+        # a sweep key without values is an empty axis: no points, not a sweep
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.sigma =\n")
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 11:") and "'sweep.params.sigma'" in err
+        assert not (tmp_path / "sw").exists()  # no point ran
+
+    def test_sweep_point_allocation_failure_recorded(self, tmp_path, monkeypatch):
+        # a point whose grid cannot be allocated is an error row, exit code 4
+        def run_sim(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(cli, "run_sim", run_sim)
+        cfg = self.write_cfg(tmp_path, BASIC + "sweep.params.sigma = 0.5\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw")]) == 0
+        lines = open(tmp_path / "sw" / "summary.csv").read().strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["status"] == "error: Unable to allocate 8.00 TiB"
+        assert row["exit_code"] == "4"
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_sweep_jobs_below_1_exit_4(self, tmp_path, capsys, jobs):
