@@ -50,7 +50,7 @@ settings = RunSettings(
     t_end=0.5, tol=1e-8, blowup_threshold=50.0, dt_max=0.01,
     snapshot_cadence=0, diag_stride=2, dense_diag_above=15.0,
 )
-rec = run(state0, params, grid, settings, lemma31_ceiling=float("nan"))
+rec = run(state0, params, grid, settings)
 print(f"\ntermination: {rec.termination.event} at t = {rec.termination.t:.4f}")
 
 fit = estimate_T(rec.rows, params, "sup", (20.0, 200.0))

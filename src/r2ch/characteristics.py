@@ -302,8 +302,7 @@ def _snapshot_rows(run: RunRecord, stride: int = 1) -> list[DiagnosticRow]:
     if missing := [snap for snap in run.snapshots[::stride] if snap.t not in rows]:
         kernel = SpectralKernel(run.params, run.grid)
         for snap in missing:
-            sp = kernel.forward(snap.u, snap.eta)
-            rows[snap.t] = make_diagnostic_row(snap, math.nan, run.params, run.grid, spectra=sp)
+            rows[snap.t] = make_diagnostic_row(snap, math.nan, kernel.forward(snap.u, snap.eta))
     return [rows[snap.t] for snap in run.snapshots[::stride]]
 
 

@@ -55,11 +55,13 @@ EXIT_INVARIANT = 3
 EXIT_CONFIG = 4
 
 # the DiagnosticRow fields without a default (not the extremum-track extras),
-# with the energy drift relative to the first row after E
+# and the two columns a row does not hold: the energy drift relative to the
+# first row after E, and the certificate's Lemma 3.1 ceiling before boundary_leak
 _ROW_COLUMNS = tuple(
     f.name for f in dataclasses.fields(DiagnosticRow) if f.default is dataclasses.MISSING
 )
-CSV_COLUMNS = _ROW_COLUMNS[:3] + ("E_drift_rel",) + _ROW_COLUMNS[3:]
+CSV_COLUMNS = _ROW_COLUMNS[:3] + ("E_drift_rel",) + _ROW_COLUMNS[3:-1]
+CSV_COLUMNS += ("lemma31_ceiling",) + _ROW_COLUMNS[-1:]
 
 
 class ConfigError(ValueError):
@@ -71,6 +73,7 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()  # default of a key that every config must set
+_FIELD = object()  # default of a targeted key: its field's default
 
 
 def _finite_float(text: str) -> float:
@@ -82,7 +85,8 @@ def _finite_float(text: str) -> float:
 
 
 # key: (parser, default, target).  The value fills the field named by the
-# key's last part in the target dataclass; a None target is read by name.
+# key's last part in the target dataclass, and a _FIELD default is that
+# field's own; a None target is read by name.
 _KNOWN_KEYS = {
     "params.A": (_finite_float, _REQUIRED, PhysParams),
     "params.sigma": (_finite_float, _REQUIRED, PhysParams),
@@ -92,15 +96,15 @@ _KNOWN_KEYS = {
     "grid.n": (int, 4096, None),
     "init.u": (str, "zero", None),
     "init.eta": (str, "zero", None),
-    "init.decay_tol": (_finite_float, 1e-10, InitialDataSpec),
+    "init.decay_tol": (_finite_float, _FIELD, InitialDataSpec),
     "run.t_end": (_finite_float, 1.0, RunSettings),
-    "run.tol": (_finite_float, 1e-8, RunSettings),
-    "run.blowup_threshold": (_finite_float, 1e3, RunSettings),
-    "run.dt_floor": (_finite_float, 1e-12, RunSettings),
-    "run.dt_max": (_finite_float, 0.05, RunSettings),
-    "run.dt_init": (_finite_float, 1e-3, RunSettings),
-    "run.snapshot_cadence": (int, 1, RunSettings),
-    "run.diag_stride": (int, 10, RunSettings),
+    "run.tol": (_finite_float, _FIELD, RunSettings),
+    "run.blowup_threshold": (_finite_float, _FIELD, RunSettings),
+    "run.dt_floor": (_finite_float, _FIELD, RunSettings),
+    "run.dt_max": (_finite_float, _FIELD, RunSettings),
+    "run.dt_init": (_finite_float, _FIELD, RunSettings),
+    "run.snapshot_cadence": (int, _FIELD, RunSettings),
+    "run.diag_stride": (int, _FIELD, RunSettings),
     "fit.m_lo": (_finite_float, 20.0, None),
     "fit.m_hi": (_finite_float, None, None),  # default: blowup threshold / 2
     "thm42.m_assumed": (_finite_float, None, None),
@@ -208,10 +212,13 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         values[key] = value
 
     parsed: dict = {}
-    for key, (parse, default, _) in _KNOWN_KEYS.items():
+    for key, (parse, default, target) in _KNOWN_KEYS.items():
         if key not in values:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
+            if default is _FIELD:
+                name = key.rsplit(".", 1)[1]
+                default = next(f.default for f in dataclasses.fields(target) if f.name == name)
             parsed[key] = default
             continue
         try:
@@ -278,11 +285,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_diagnostics_csv(path: str, rows: list[DiagnosticRow]) -> None:
+def write_diagnostics_csv(path: str, rows: list[DiagnosticRow], certificate=None) -> None:
+    """The rows as diagnostics.csv, each with its energy drift and the Lemma
+    3.1 ceiling of ``certificate`` (a ``Certificate``; NaN for None or no ceiling)."""
+    ceiling = None if certificate is None else certificate.lemma31_ceiling
+    ceiling = math.nan if ceiling is None else ceiling
     lines = [",".join(CSV_COLUMNS)]
     E0 = rows[0].E if rows else 0.0
     for r in rows:
-        values = {**vars(r), "E_drift_rel": (r.E - E0) / max(E0, 1e-14)}
+        values = {**vars(r), "E_drift_rel": (r.E - E0) / max(E0, 1e-14), "lemma31_ceiling": ceiling}
         lines.append(",".join(_fmt(values[c]) for c in CSV_COLUMNS))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -299,7 +310,7 @@ def read_diagnostics_csv(path: str) -> list[DiagnosticRow]:
                 values = dict(zip(CSV_COLUMNS, map(float, line.strip().split(",")), strict=True))
             except ValueError as exc:  # a field that is no number, or too few or many
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            del values["E_drift_rel"]
+            del values["E_drift_rel"], values["lemma31_ceiling"]
             rows.append(DiagnosticRow(**values))
     return rows
 
@@ -396,10 +407,9 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
     """Run one configuration and write all artifacts into out_dir.  Returns
     the exit code, and the verdict and certificate as JSON values."""
     state0, certificate = _certify(cfg, out_dir)
-    ceiling = certificate.lemma31_ceiling if certificate.lemma31_ceiling is not None else math.nan
-    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, ceiling, certificate.slope_floor)
+    rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, certificate.slope_floor)
 
-    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows)
+    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows, certificate)
     snap_dir = os.path.join(out_dir, "snapshots")
     if rec.snapshots:
         os.makedirs(snap_dir, exist_ok=True)

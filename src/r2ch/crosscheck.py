@@ -348,7 +348,7 @@ def selftest_checks(mutate_c: float = 0.0):
         evolution.DiagnosticRow(
             t=float(t), dt=0.0, E=0.0, sup_ux=float(m), inf_ux=0.0,
             x_at_sup_ux=0.0, x_at_inf_ux=0.0, sup_abs_eta=0.0, min_rho=1.0,
-            m3=0.0, f_sup_abs=0.0, lemma31_ceiling=math.nan, boundary_leak=0.0,
+            m3=0.0, f_sup_abs=0.0, boundary_leak=0.0,
         )
         for t, m in zip(ts, M)
     ]

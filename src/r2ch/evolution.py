@@ -195,6 +195,9 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class DiagnosticRow:
+    """One state's diagnostics, from its transforms alone; diagnostics.csv
+    adds the energy drift and the certificate's Lemma 3.1 ceiling."""
+
     t: float
     dt: float
     E: float
@@ -206,7 +209,6 @@ class DiagnosticRow:
     min_rho: float
     m3: float
     f_sup_abs: float
-    lemma31_ceiling: float  # NaN unless sigma > 0 and a certificate was supplied
     boundary_leak: float
     # extremum-track extras (not part of the CSV schema)
     max_rho: float = math.nan
@@ -302,19 +304,11 @@ def _energy(state: FieldState, params: PhysParams, grid: Grid, ux2: np.ndarray) 
     return float(grid.dx * np.sum(u * u + ux2 + params.coriolis_margin * (eta * eta)))
 
 
-def make_diagnostic_row(
-    state: FieldState,
-    dt: float,
-    params: PhysParams,
-    grid: Grid,
-    lemma31_ceiling: float = math.nan,
-    spectra: StateSpectra | None = None,
-) -> DiagnosticRow:
-    """The state's diagnostics from its transforms (``spectra``, when the
-    caller holds them): two FFT calls, for the forcing.  The moments are
-    products of the slope, so no power runs per grid point."""
-    if spectra is None:
-        spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
+def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> DiagnosticRow:
+    """The state's diagnostics from its transforms ``spectra``, whose kernel
+    gives the params and grid: two FFT calls, for the forcing.  The moments
+    are products of the slope, so no power runs per grid point."""
+    params, grid = spectra.kernel.params, spectra.kernel.grid
     ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
@@ -333,7 +327,6 @@ def make_diagnostic_row(
         min_rho=float(np.min(rho)),
         m3=float(grid.dx * np.sum(ux2 * ux)),
         f_sup_abs=float(np.max(np.abs(fvals))),
-        lemma31_ceiling=lemma31_ceiling,
         boundary_leak=boundary_leak(state, grid),
         max_rho=float(np.max(rho)),
         gamma_sup=_interp_at(rho, grid.x, x_sup),
@@ -356,15 +349,14 @@ def run(
     params: PhysParams,
     grid: Grid,
     settings: RunSettings,
-    lemma31_ceiling: float = math.nan,
     slope_floor=None,
 ) -> RunRecord:
     """Integrate until t_end, blow-up detection (max |u_x| >= threshold),
     the dt floor, or an invariant violation (a tendency that overflows, so
     numpy's overflow warnings are off).  Every termination is an event.
-    ``slope_floor`` (t -> a lower bound on sup u_x, or None) ends the run on
-    under_resolved at a state whose grid max of u_x, and then its refined
-    peak, lie more than 1e-6 max(1, floor) below.
+    ``slope_floor`` (t -> a lower bound on sup u_x, or None), the run's one
+    certificate input, ends it on under_resolved at a state whose grid max of
+    u_x, and then its refined peak, lie more than 1e-6 max(1, floor) below.
 
     The run builds its own ``SpectralKernel``.  Each accepted state, the
     initial one included, carries its spectrum and slope through one sequence:
@@ -385,9 +377,7 @@ def run(
     k_cut, sigma, mu = grid.k[grid.dealias_cut - 1], params.sigma, params.mu
 
     def record():
-        rec.rows.append(
-            make_diagnostic_row(state, used_dt, params, grid, lemma31_ceiling, spectra)
-        )
+        rec.rows.append(make_diagnostic_row(state, used_dt, spectra))
 
     def finish(event: str, detail: str = "") -> RunRecord:
         # a run that ends at t_end, at blow-up or under-resolved ends with its

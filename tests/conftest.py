@@ -99,7 +99,7 @@ def breaking_run():
         diag_stride=2,
         dense_diag_above=15.0,
     )
-    rec = run(state0, params, grid, settings, lemma31_ceiling=float("nan"))
+    rec = run(state0, params, grid, settings)
     return rec, cert
 
 
@@ -124,7 +124,7 @@ def positive_sigma_matrix():
             settings = RunSettings(
                 t_end=2.0, tol=1e-8, snapshot_cadence=0, diag_stride=1
             )
-            rec = run(state0, params, grid, settings, cert.lemma31_ceiling)
+            rec = run(state0, params, grid, settings)
             out.append((rec, cert, state0))
     return out
 

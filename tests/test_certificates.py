@@ -344,7 +344,7 @@ def plain_row(t, sup_ux=0.0, f_sup_abs=0.0):
     return DiagnosticRow(
         t=t, dt=0.01, E=1.0, sup_ux=sup_ux, inf_ux=-0.1,
         x_at_sup_ux=0.0, x_at_inf_ux=0.0, sup_abs_eta=0.0, min_rho=1.0,
-        m3=0.0, f_sup_abs=f_sup_abs, lemma31_ceiling=math.nan, boundary_leak=0.0,
+        m3=0.0, f_sup_abs=f_sup_abs, boundary_leak=0.0,
     )
 
 

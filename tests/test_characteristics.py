@@ -287,8 +287,10 @@ class TestAdvect:
     def test_sample_along_recovers_field(self):
         # frozen u = sin(k x) at mode n/3 with eta zero: u, u_x and rho = 1
         # sampled along the paths match the closed forms at those off-grid
-        # points, for a single query point and for many, with seeds on the
-        # periodic seam: at q = -L and within one fine cell below +L
+        # points, for a single query point and for many, with seeds at both
+        # ends of the box: at q = -L and 0.15 dx below +L.  At L = 10 no seed
+        # below +L makes theta round to 2 pi, so the node clamp is not reached
+        # here (TestBandLimitedField reaches it at L = 12.5)
         g = build_grid(10.0, 512)
         kk = math.pi * (g.n // 3) / g.half_length
         times = np.linspace(0.0, 1.0, 11)
@@ -361,11 +363,14 @@ class TestAdvect:
 
 
 class TestBandLimitedField:
-    def test_direct_sum_matches_gridding(self):
+    @pytest.mark.parametrize("L", [20.0, 12.5])
+    def test_direct_sum_matches_gridding(self, L):
         # one field evaluates the same points by gridding in one call and by
         # the direct sum in calls of at most _DIRECT_MAX, the seam included:
-        # the sums agree to 1e-12 of the field's max, value and slope
-        g = build_grid(20.0, 1024)
+        # the sums agree to 1e-12 of the field's max, value and slope.  At
+        # L = 12.5 the theta of L - 2 ulp rounds to 2 pi, so gridding reaches
+        # the node clamp; at L = 20 it does not
+        g = build_grid(L, 1024)
         times = np.linspace(0.0, 1.0, 9)
         x = g.x
         F = np.stack(
@@ -374,7 +379,9 @@ class TestBandLimitedField:
         )
         field = _BandLimitedField(times, F, g)
         rng = np.random.default_rng(3)
-        q = np.concatenate([[-20.0, 20.0 - 1e-13, 20.0 - g.dx / 3], rng.uniform(-20.0, 20.0, 60)])
+        edges = [-L, L - 2 * np.spacing(L), L - 1e-13, L - g.dx / 3]
+        assert (((edges[1] + L) % (2.0 * L)) * (math.pi / L) == 2.0 * math.pi) == (L == 12.5)
+        q = np.concatenate([edges, rng.uniform(-L, L, 60)])
         for t in (0.0, 0.37, 1.0):
             gridded = field(t, q)
             assert field._key == (t, False)
@@ -519,7 +526,7 @@ class TestSnapshotRows:
         kernel = SpectralKernel(rec.params, rec.grid)
         for i, snap in enumerate(rec.snapshots):
             row = recorded.get(snap.t) or make_diagnostic_row(
-                snap, math.nan, rec.params, rec.grid, spectra=kernel.forward(snap.u, snap.eta)
+                snap, math.nan, kernel.forward(snap.u, snap.eta)
             )
             assert (track.t[i], track.xi[i], track.M[i], track.gamma[i], track.f_along[i]) == (
                 row.t, row.x_at_sup_ux, row.sup_ux, row.gamma_sup, row.f_at_sup

@@ -27,7 +27,8 @@ from r2ch.cli import (
     write_snapshot,
 )
 from r2ch.crosscheck import selftest_checks
-from r2ch.evolution import DiagnosticRow
+from r2ch.evolution import DiagnosticRow, RunSettings
+from r2ch.model import InitialDataSpec
 
 BASIC = """\
 params.A = 0.5          # background shear
@@ -71,6 +72,13 @@ class TestParseConfig:
         assert cfg.settings.t_end == 0.05
         assert cfg.fit_window == (20.0, 500.0)
         assert cfg.m_assumed is None
+
+    def test_defaults_are_the_dataclasses(self):
+        # every targeted key the config leaves out takes its field's default;
+        # t_end and dense_diag_above (fit.m_lo) are the config's own
+        cfg = parse_config("params.A = 0.5\nparams.sigma = 1\n")
+        assert cfg.settings == RunSettings(t_end=1.0, dense_diag_above=20.0)
+        assert cfg.init == InitialDataSpec()
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 3.*params.sigmma"):
@@ -176,7 +184,7 @@ def sample_rows():
         DiagnosticRow(
             t=0.1 * i, dt=0.01, E=1.0 + 1e-9 * i, sup_ux=0.5 * i, inf_ux=-0.1,
             x_at_sup_ux=0.3, x_at_inf_ux=-0.4, sup_abs_eta=0.2, min_rho=0.9,
-            m3=-0.05, f_sup_abs=1.3, lemma31_ceiling=math.nan, boundary_leak=1e-12,
+            m3=-0.05, f_sup_abs=1.3, boundary_leak=1e-12,
         )
         for i in range(4)
     ]
@@ -196,7 +204,20 @@ class TestArtifacts:
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
             assert a.t == b.t and a.E == b.E and a.sup_ux == b.sup_ux
-            assert math.isnan(b.lemma31_ceiling)
+
+    @pytest.mark.parametrize("ceiling, text", [(2.5, "2.5"), (None, "nan")])
+    def test_csv_ceiling_from_certificate(self, tmp_path, ceiling, text):
+        # the certificate's Lemma 3.1 ceiling on every line, NaN where it has
+        # none (sigma <= 0)
+        cert = cert_mod.Certificate(
+            E0=1.0, rho0_sup=1.1, u0x_sup_norm=1.0, C=2.0, lemma31_ceiling=ceiling,
+            thm41=None, thm42=None, K2=1.0, rate_target=None,
+        )
+        path = tmp_path / "d.csv"
+        write_diagnostics_csv(str(path), sample_rows(), cert)
+        header, *lines = path.read_text().splitlines()
+        column = header.split(",").index("lemma31_ceiling")
+        assert {line.split(",")[column] for line in lines} == {text}
 
     @pytest.mark.parametrize("damage", ["not a number", "one field short", "wrong header"])
     def test_csv_damaged_line(self, tmp_path, damage):
@@ -444,7 +465,7 @@ class TestCommands:
         real = cli.run_sim
 
         def run_sim(*args):
-            floors.append(args[5])
+            floors.append(args[4])
             return real(*args)
 
         monkeypatch.setattr(cli, "run_sim", run_sim)

@@ -1,9 +1,13 @@
 """The demos and the README's library tour are code no other test runs:
-every name they import from r2ch must still resolve."""
+every name they import from r2ch must still resolve, and every demo must
+run to its end."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,16 @@ def test_demo_imports_resolve(path):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # each demo takes well under a second; it runs from an empty directory,
+    # with src/ ahead of the inherited search path
+    path_entries = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    proc = subprocess.run(
+        [sys.executable, str(path)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -41,6 +41,7 @@ from r2ch.evolution import (
     DiagnosticRow,
     NonFiniteState,
     _interp_at,
+    _refine_parabolic,
     _rhs_arrays,
     energy,
     make_diagnostic_row,
@@ -53,7 +54,7 @@ def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
     return DiagnosticRow(
         t=t, dt=0.0, E=1.0, sup_ux=sup_ux, inf_ux=inf_ux,
         x_at_sup_ux=0.0, x_at_inf_ux=0.0, sup_abs_eta=0.0, min_rho=1.0,
-        m3=m3, f_sup_abs=0.0, lemma31_ceiling=math.nan, boundary_leak=0.0,
+        m3=m3, f_sup_abs=0.0, boundary_leak=0.0,
     )
 
 
@@ -359,7 +360,7 @@ class TestTransformCounts:
         kernel = SpectralKernel(p, g)
         sp = kernel.forward(st.u, st.eta)
         assert counts["fft"] == 7
-        make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        make_diagnostic_row(st, 0.01, sp)
         assert counts["fft"] == 9
         k1 = evolution._rhs_arrays(sp, kernel)
         assert counts["fft"] == 9
@@ -419,7 +420,7 @@ class TestTransformCounts:
     def test_held_spectra_reuse_one_kernel(self, monkeypatch):
         p, g, st = self.problem()
         want_f = eval_f(st, p, g)
-        want_row = make_diagnostic_row(st, 0.01, p, g, lemma31_ceiling=1.0)
+        want_row = make_diagnostic_row(st, 0.01, SpectralKernel(p, g).forward(st.u, st.eta))
         kernel = SpectralKernel(p, g)
         built = []
         init = SpectralKernel.__init__
@@ -432,7 +433,7 @@ class TestTransformCounts:
         for _ in range(5):
             sp = kernel.forward(st.u, st.eta)
             assert np.array_equal(eval_f(st, p, g, sp), want_f)
-            row = make_diagnostic_row(st, 0.01, p, g, lemma31_ceiling=1.0, spectra=sp)
+            row = make_diagnostic_row(st, 0.01, sp)
             assert row == want_row
         assert built == []
 
@@ -444,8 +445,6 @@ class TestTransformCounts:
             sp = kernel.forward(st.u, st.eta)
             with pytest.raises(ValueError, match="other params or another grid"):
                 eval_f(st, p, g, sp)
-            with pytest.raises(ValueError, match="other params or another grid"):
-                make_diagnostic_row(st, 0.01, p, g, spectra=sp)
 
 
 class TestScipyFftBits:
@@ -624,6 +623,11 @@ class TestExtremumRefinement:
         y = np.zeros(11)
         loc, _ = refined_extremum(y, x, "max")
         assert loc == x[0]
+        # a degenerate triple keeps its middle point: flat, with coincident
+        # abscissae, or with its vertex outside the bracket
+        for xs, ys in (((0.0, 1.0, 2.0), (3.0, 3.0, 3.0)), ((1.0, 1.0, 2.0), (0.0, 1.0, 0.0)),
+                       ((-1.0, 0.0, 1.0), (1.0, 2.0, 4.0))):
+            assert _refine_parabolic(*xs, *ys) == (xs[1], ys[1])
 
     def test_interp_quadratic_exact(self):
         x = np.linspace(-5, 5, 101)
@@ -851,12 +855,11 @@ class TestDiagnosticRow:
             eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
         )
         st = synthesize(spec, g)
-        row = make_diagnostic_row(st, 0.01, p, g, lemma31_ceiling=7.0)
+        row = make_diagnostic_row(st, 0.01, SpectralKernel(p, g).forward(st.u, st.eta))
         assert row.t == 0.0 and row.dt == 0.01
         assert row.sup_ux > 0 > row.inf_ux
         assert row.min_rho == pytest.approx(1.0, abs=1e-12)
         assert row.max_rho == pytest.approx(1.1, rel=1e-6)
-        assert row.lemma31_ceiling == 7.0
         # m3 of the even bump's odd-symmetric cube integrates to zero
         assert abs(row.m3) <= 1e-12
 
@@ -874,7 +877,7 @@ class TestRowMoments:
 
     def test_cubic_moments(self, state):
         p, g, st, sp = state
-        row = make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        row = make_diagnostic_row(st, 0.01, sp)
         m0 = thm42_certificate(st.u, g, 1.0, 1.0, u0x=sp.ux).m0
         want = g.dx * np.sum(np.power(sp.ux, 3))
         scale = g.dx * np.sum(np.abs(sp.ux) ** 3)
@@ -883,7 +886,7 @@ class TestRowMoments:
 
     def test_energy_bitwise(self, state):
         p, g, st, sp = state
-        row = make_diagnostic_row(st, 0.01, p, g, spectra=sp)
+        row = make_diagnostic_row(st, 0.01, sp)
         assert row.E == energy(st, p, g, sp.ux) == energy(st, p, g)
 
     @pytest.mark.parametrize("where", [None, 0, 1, 2, 3])
