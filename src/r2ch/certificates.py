@@ -345,10 +345,7 @@ class RateCheck:
 
 
 def rate_check(
-    track: ExtremumTrack,
-    T_est: float,
-    params: PhysParams,
-    window: tuple[float, float] = (20.0, 200.0),
+    track: ExtremumTrack, T_est: float, params: PhysParams, window: tuple[float, float]
 ) -> RateCheck:
     """The product (T_est - t) * M(t) against its limit -2/sigma, as its mean
     over the last quarter of the window's time span.

@@ -411,6 +411,12 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
 
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows, certificate)
     snap_dir = os.path.join(out_dir, "snapshots")
+    if os.path.isdir(snap_dir):  # an earlier run's snapshots would outlive it
+        for name in os.listdir(snap_dir):
+            if name.startswith("snap_") and name.endswith(".bin"):
+                os.remove(os.path.join(snap_dir, name))
+        if not os.listdir(snap_dir):
+            os.rmdir(snap_dir)
     if rec.snapshots:
         os.makedirs(snap_dir, exist_ok=True)
         for i, snap in enumerate(rec.snapshots):

@@ -51,11 +51,9 @@ class NonFiniteState(RuntimeError):
     """A non-finite value appeared inside the integrator."""
 
 
-def _rhs_arrays(
-    spectra: StateSpectra, kernel: SpectralKernel, out: np.ndarray | None = None
-) -> np.ndarray:
+def _rhs_arrays(spectra: StateSpectra, out: np.ndarray | None = None) -> np.ndarray:
     """Tendency spectrum ``[du_hat, deta_hat]`` of the state whose transforms
-    are ``spectra``, summed from the weight rows of ``kernel`` (no FFT):
+    are ``spectra``, summed from the weight rows of their kernel (no FFT):
 
     du/dt = -(sigma u - mu) u_x
             - dx p * [ (mu-A) u + (3-sigma)/2 u^2 + sigma/2 u_x^2
@@ -71,6 +69,7 @@ def _rhs_arrays(
     if out is None:
         out = np.empty((2, uh.size), dtype=complex)
     du, deta = out
+    kernel = spectra.kernel
     term, grid = kernel.scratch, kernel.grid
     np.multiply(kernel.w_uh, uh, out=du)
     for w, h in ((kernel.w_etah, etah), (kernel.w_u2, u2h), (kernel.w_r2ux, r2uxh)):
@@ -88,21 +87,16 @@ def _rhs_arrays(
 
 def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
     """The tendency in physical space: 4 FFT calls, 3 for the state's
-    transforms and one irfft."""
+    transforms and one irfft, from a kernel built for this one call."""
     kernel = SpectralKernel(params, grid)
     spectra = kernel.forward(state.u, state.eta)
     # the tendency spectrum is formed in the kernel's stage rows
-    du, deta = np.fft.irfft(_rhs_arrays(spectra, kernel, out=kernel.rows[:2]), n=grid.n)
+    du, deta = np.fft.irfft(_rhs_arrays(spectra, out=kernel.rows[:2]), n=grid.n)
     return Tendency(du_dt=du, deta_dt=deta)
 
 
 def step(
-    state: FieldState,
-    dt: float,
-    params: PhysParams,
-    grid: Grid,
-    k1: np.ndarray | None = None,
-    kernel: SpectralKernel | None = None,
+    state: FieldState, dt: float, kernel: SpectralKernel, k1: np.ndarray | None = None
 ) -> tuple[FieldState, float]:
     """One Cash-Karp step in Fourier space.  Returns the advanced (4th order)
     state and the error estimate: the 5th/4th order difference in a max norm
@@ -116,13 +110,11 @@ def step(
 
     ``k1`` is the state's tendency spectrum when the caller already holds
     it; it does not depend on dt, so a retried step reuses it and makes 5 new
-    RHS evaluations.  ``kernel`` is a ``SpectralKernel(params, grid)`` that
-    nothing else uses meanwhile, built here when not given.
+    RHS evaluations.  ``kernel`` carries the params and grid; it serves no
+    other computation meanwhile.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if kernel is None:
-        kernel = SpectralKernel(params, grid)
     if state._transforms is None:
         held = kernel.forward(state.u, state.eta)
         spectrum = held.spectrum
@@ -131,9 +123,9 @@ def step(
         if k1 is None:
             held = kernel.transform(spectrum, state.u, state.eta, ux)
     if k1 is None:
-        k1 = _rhs_arrays(held, kernel)
+        k1 = _rhs_arrays(held)
 
-    stages, rows = kernel.stages, kernel.rows
+    stages, rows, grid = kernel.stages, kernel.rows, kernel.grid
     flat = stages.reshape(6, -1).view(np.float64)
 
     def combine(weights, out):
@@ -143,7 +135,7 @@ def step(
     for i in range(1, 6):
         combine(_CK_A[i], rows[:2])
         rows[:2] += spectrum
-        _rhs_arrays(kernel.inverse(rows), kernel, out=stages[i])
+        _rhs_arrays(kernel.inverse(rows), out=stages[i])
     end = np.empty((5, spectrum.shape[1]), dtype=complex)
     combine(_CK_B4, end[:2])
     end[:2] += spectrum
@@ -312,7 +304,7 @@ def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> 
     ux = spectra.ux
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
-    fvals = eval_f(state, params, grid, spectra)
+    fvals = eval_f(spectra)
     ux2 = ux * ux
     rho = state.rho
     return DiagnosticRow(
@@ -425,7 +417,7 @@ def run(
         # k1 fills the kernel's first stage row, which a retried step keeps;
         # the state's products are not needed past it
         try:
-            k1 = _rhs_arrays(spectra, kernel, out=kernel.stages[0])
+            k1 = _rhs_arrays(spectra, out=kernel.stages[0])
         except NonFiniteState as exc:
             return finish("invariant_violation", str(exc))
         spectra = None
@@ -438,7 +430,7 @@ def run(
             gap = settings.t_end - state.t
             dt = gap if gap - dt <= settings.dt_floor else dt
             try:
-                new_state, err = step(state, dt, params, grid, k1=k1, kernel=kernel)
+                new_state, err = step(state, dt, kernel, k1=k1)
             except NonFiniteState as exc:
                 return finish("invariant_violation", str(exc))
             rec.rhs_evals += 5
@@ -497,10 +489,7 @@ class BreakingTimeFit:
 
 
 def estimate_T(
-    samples: list[DiagnosticRow],
-    params: PhysParams,
-    branch: str = "sup",
-    window: tuple[float, float] = (20.0, 1e3),
+    samples: list[DiagnosticRow], params: PhysParams, branch: str, window: tuple[float, float]
 ) -> BreakingTimeFit:
     """Least-squares line through 1/M(t) over the window M in [lo, hi];
     the breaking time estimate is the root of the fitted line.

@@ -4,8 +4,9 @@ transforms, and the forcing field of the differentiated velocity equation.
 Derivatives and the kernel p(x) = exp(-|x|)/2 of (1 - d^2/dx^2)^{-1} act as
 Fourier multipliers (ik and 1/(1+k^2)), read-only on the grid.  Every
 transform is a ``numpy.fft`` rfft or irfft along the last axis, batched over
-a state's fields; numpy >= 2.0 runs them in its C++ pocketfft.  This module
-holds only the production path; the single-field convolutions and the
+a state's fields; numpy >= 2.0 runs them in its C++ pocketfft.  A
+``SpectralKernel``, or the transforms it made, is the one carrier of
+(params, grid) on this path.  The single-field convolutions and the
 physical-space quadrature they are checked against live in ``crosscheck``.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldState, Grid, PhysParams
+from .model import Grid, PhysParams
 
 
 def _check(field: np.ndarray, grid: Grid) -> None:
@@ -47,7 +48,9 @@ class StateSpectra:
 
 
 class SpectralKernel:
-    """The stepping kernel of one (params, grid), built by its caller.
+    """The stepping kernel of one (params, grid), built by its caller and
+    passed on: ``step`` takes it, and ``eval_f`` and ``make_diagnostic_row``
+    take the transforms it made.  Only the public ``rhs`` builds its own.
 
     A state's four products are formed in physical space, the bracket
 
@@ -140,12 +143,7 @@ class SpectralKernel:
         return self.transform(spectrum, u, eta, ux)
 
 
-def eval_f(
-    state: FieldState,
-    params: PhysParams,
-    grid: Grid,
-    spectra: StateSpectra | None = None,
-) -> np.ndarray:
+def eval_f(spectra: StateSpectra) -> np.ndarray:
     """Forcing of the differentiated velocity equation,
 
         f = -(mu - A) dx(p * du/dx) + (3-sigma)/2 u^2 - Omega rho^2 u
@@ -155,16 +153,13 @@ def eval_f(
 
     with the second derivative of the kernel rewritten as dx p * dx u.
     Quadratic and cubic products are dealiased.  The sum is taken in
-    spectral space from the state's transforms (``spectra``, when the caller
-    already holds them, as ``kernel.forward(u, eta)`` of a kernel it reuses),
-    with one rfft of the local part L = (3-sigma)/2 u^2 - Omega rho^2 u and
-    one irfft.  The inner bracket is B + (1-2 Omega A) eta + (1-2 Omega A)/2,
-    and the constant adds n/2 times (1-2 Omega A) at k = 0.
+    spectral space from the state's transforms ``spectra``, whose kernel
+    gives the params and grid, with one rfft of the local part
+    L = (3-sigma)/2 u^2 - Omega rho^2 u and one irfft.  The inner bracket is
+    B + (1-2 Omega A) eta + (1-2 Omega A)/2, and the constant adds n/2 times
+    (1-2 Omega A) at k = 0.
     """
-    if spectra is None:
-        spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
-    elif spectra.kernel.params != params or spectra.kernel.grid is not grid:
-        raise ValueError("spectra were made by a SpectralKernel of other params or another grid")
+    params, grid = spectra.kernel.params, spectra.kernel.grid
     A, sigma, mu, Om = params.A, params.sigma, params.mu, params.Omega
     c = params.coriolis_margin
     u, eta, cut = spectra.u, spectra.eta, grid.dealias_cut

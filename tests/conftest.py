@@ -12,8 +12,10 @@ from r2ch import (
     PhysParams,
     ProfileTerm,
     RunSettings,
+    SpectralKernel,
     build_certificate,
     build_grid,
+    eval_f,
     run,
     synthesize,
 )
@@ -44,6 +46,11 @@ def _criterion_key(line):
         return int(line.split()[1].rstrip(":"))
     except (IndexError, ValueError):
         return 99
+
+
+def forcing(state, params, grid):
+    """eval_f of a state, from the transforms of a kernel built for it."""
+    return eval_f(SpectralKernel(params, grid).forward(state.u, state.eta))
 
 
 # ----------------------------------------------------------------------------

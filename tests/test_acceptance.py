@@ -116,7 +116,7 @@ def test_criterion_04_integrator_order(accept):
         # fixed dt through the public step; the last step ends at t = 1
         state = state0
         while state.t < 1.0:
-            state, _ = step(state, min(dt, 1.0 - state.t), params, grid, kernel=kernel)
+            state, _ = step(state, min(dt, 1.0 - state.t), kernel)
         return state.u
 
     ref = final_u(2e-3)

@@ -8,13 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from r2ch import FieldState, build_grid
 from r2ch import certificates as cert_mod
 from r2ch import cli
 from r2ch import evolution
 from r2ch.cli import (
+    _KNOWN_KEYS,
     ConfigError,
+    RunConfig,
     _jsonable,
     _parse_profile,
     _split_top_level,
@@ -135,6 +138,67 @@ class TestParseConfig:
     def test_unknown_override_key(self):
         with pytest.raises(ConfigError, match="unknown override key 'params.bogus'"):
             parse_config(BASIC, {"params.bogus": "1"})
+
+
+# a fixed pool of (well-formed, malformed) values per key; a line draws a
+# malformed one at odds 1 in 4.  grid.n stays at or below 4096, so no draw
+# allocates a large grid
+_FLOATS = (("0.5", "-1", "0", "0.1", "2", "20", "1e-3", "1e300"), ("nan", "-inf", "abc", ""))
+_INTS = (("0", "1", "10", "-1"), ("1.5", "abc", ""))
+_VALUES = {
+    "grid.n": (("256", "1024", "4096"), ("0", "-256", "100", "2.5", "abc")),
+    "init.u": (
+        ("zero", "gaussian_bump(a=0.3, w=2.0)", "slope_bump(a=9.0, w=0.1)"),
+        ("gaussian_bump(a=0.3)", "bump(a=1, w=1)", "eta_zero", "(", ""),
+    ),
+    "init.eta": (
+        ("zero", "eta_zero", "eta_bump(b=0.1, w=2.0, x_c=1.0)", "eta_bump(b=-2, w=1)"),
+        ("eta_bump(b=nan, w=1)", "gaussian_bump(a=1, w=)"),
+    ),
+    "output.dir": (("out",), ("",)),
+}
+
+
+def _pool(key):
+    base = key.removeprefix("sweep.")
+    if base in _VALUES:
+        well, bad = _VALUES[base]
+    else:  # the unknown key takes floats
+        well, bad = _INTS if _KNOWN_KEYS.get(base, (float,))[0] is int else _FLOATS
+    value = st.integers(0, 3).flatmap(lambda i: st.sampled_from(well if i else bad))
+    if base != key:  # a sweep list of one to three values
+        return st.lists(value, min_size=1, max_size=3).map(", ".join)
+    return value
+
+
+_KEYS = sorted(_KNOWN_KEYS) + sorted("sweep." + k for k in _KNOWN_KEYS) + ["params.muu"]
+_ITEMS = st.sampled_from(_KEYS).flatmap(lambda k: st.tuples(st.just(k), _pool(k)))
+
+
+class TestConfigProperty:
+    """Any config text over the known keys, their sweep forms and one unknown
+    key parses to a RunConfig or raises ConfigError, and ``r2ch certify``
+    on it exits 0 or 4.  No draw runs a simulation."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(required=st.booleans(), items=st.lists(_ITEMS, max_size=6, unique_by=lambda i: i[0]))
+    def test_parse_or_config_error(self, tmp_path, required, items):
+        # with required, the two required keys come first; a drawn value replaces one
+        if required:
+            items = [("params.A", "0.5"), ("params.sigma", "-1")] + items
+        text = "\n".join(f"{k} = {v}" for k, v in dict(items).items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            cfg = None
+        else:
+            assert isinstance(cfg, RunConfig)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        code = main(["certify", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code in (0, 4)
+        assert cfg is not None or code == 4
 
 
 class TestProfileExpr:
@@ -345,6 +409,40 @@ class TestCommands:
         assert "samples with |M| in [20.0, 25.0]" in verdict["fit"]["error"]
         assert verdict["rate"] is None
         self.assert_rate_matches_verdict(cfg, out)
+
+    @staticmethod
+    def tree(root):
+        # every path under root, with a file's bytes (None for a directory)
+        return {
+            str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")
+        }
+
+    @pytest.mark.parametrize("cadence", [1, 0])
+    def test_rerun_leaves_no_stale_snapshots(self, tmp_path, cadence):
+        # a longer run, then a shorter one into the same directory: the tree
+        # is the one a fresh run of the second config writes
+        first = tmp_path / "first.cfg"
+        first.write_text(BASIC.replace("run.t_end = 0.05", "run.t_end = 0.2"))
+        second = tmp_path / "second.cfg"
+        second.write_text(BASIC + f"run.snapshot_cadence = {cadence}\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+        assert len(list((out / "snapshots").iterdir())) > 6
+        assert main(["run", "--config", str(second), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(second), "--out", str(fresh)]) == 0
+        assert self.tree(out) == self.tree(fresh)
+        assert ("snapshots" in self.tree(fresh)) == (cadence > 0)
+
+    def test_rerun_keeps_other_files(self, tmp_path):
+        # only the earlier run's snap_*.bin files go
+        cfg = self.write_cfg(tmp_path, BASIC)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        (out / "snapshots" / "notes.txt").write_text("kept")
+        cfg = self.write_cfg(tmp_path, BASIC + "run.snapshot_cadence = 0\n")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert [p.name for p in (out / "snapshots").iterdir()] == ["notes.txt"]
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])

@@ -47,7 +47,7 @@ from r2ch.evolution import (
     make_diagnostic_row,
 )
 
-from conftest import breaking_problem, cubic_moment_problem, smooth_problem
+from conftest import breaking_problem, cubic_moment_problem, forcing, smooth_problem
 
 
 def make_row(t, sup_ux=0.0, inf_ux=0.0, m3=0.0):
@@ -233,7 +233,7 @@ class TestBatchedRhs:
         # the held transforms give the same tendency, also after another
         # state was transformed by the same kernel (its scratch rows reused)
         kernel.forward(2.0 * u, eta)
-        held = scipy.fft.irfft(_rhs_arrays(sp, kernel), n=n)
+        held = scipy.fft.irfft(_rhs_arrays(sp), n=n)
         np.testing.assert_array_equal(held[0], du)
         np.testing.assert_array_equal(held[1], deta)
 
@@ -252,7 +252,7 @@ class TestBatchedRhs:
         rows[0], rows[1] = uh, etah
         sp = kernel.inverse(rows)
         np.testing.assert_array_equal(sp.ux, ux_s)
-        got = _rhs_arrays(sp, kernel)
+        got = _rhs_arrays(sp)
         np.testing.assert_array_equal(got[0], duh)
         np.testing.assert_array_equal(got[1], detah)
 
@@ -314,7 +314,7 @@ class TestFourierStep:
     def test_matches_physical_transcription(self, dt):
         p, g, st = TestTransformCounts.problem()
         u4, e4, err = self.physical_step(st.u, st.eta, dt, p, g)
-        new, got_err = step(st, dt, p, g)
+        new, got_err = step(st, dt, SpectralKernel(p, g))
         assert new.t == st.t + dt
         assert np.max(np.abs(new.u - u4)) <= 1e-13
         assert np.max(np.abs(new.eta - e4)) <= 1e-13
@@ -362,16 +362,16 @@ class TestTransformCounts:
         assert counts["fft"] == 7
         make_diagnostic_row(st, 0.01, sp)
         assert counts["fft"] == 9
-        k1 = evolution._rhs_arrays(sp, kernel)
+        k1 = evolution._rhs_arrays(sp)
         assert counts["fft"] == 9
         rows = np.empty((3, g.k.size), dtype=complex)
         rows[:2] = sp.spectrum
-        evolution._rhs_arrays(kernel.inverse(rows), kernel)
+        evolution._rhs_arrays(kernel.inverse(rows))
         assert counts["fft"] == 11
         # a step from a state the stepper made: 5 stages and the step end
-        new, _ = step(st, 0.01, p, g, k1=k1, kernel=kernel)
+        new, _ = step(st, 0.01, kernel, k1=k1)
         counts["fft"] = 0
-        step(new, 0.01, p, g, k1=k1, kernel=kernel)
+        step(new, 0.01, kernel, k1=k1)
         assert counts["fft"] == 11
 
     def test_run_with_rejected_step(self, counts):
@@ -418,9 +418,11 @@ class TestTransformCounts:
         assert built == [p]
 
     def test_held_spectra_reuse_one_kernel(self, monkeypatch):
+        # rows, forcings and steps from one caller's kernel build no other
         p, g, st = self.problem()
-        want_f = eval_f(st, p, g)
+        want_f = forcing(st, p, g)
         want_row = make_diagnostic_row(st, 0.01, SpectralKernel(p, g).forward(st.u, st.eta))
+        want_step = step(st, 0.01, SpectralKernel(p, g))
         kernel = SpectralKernel(p, g)
         built = []
         init = SpectralKernel.__init__
@@ -432,19 +434,14 @@ class TestTransformCounts:
         monkeypatch.setattr(SpectralKernel, "__init__", counting)
         for _ in range(5):
             sp = kernel.forward(st.u, st.eta)
-            assert np.array_equal(eval_f(st, p, g, sp), want_f)
+            assert np.array_equal(eval_f(sp), want_f)
             row = make_diagnostic_row(st, 0.01, sp)
             assert row == want_row
+            new, err = step(st, 0.01, kernel)
+            assert err == want_step[1]
+            assert np.array_equal(new.u, want_step[0].u)
+            assert np.array_equal(new.eta, want_step[0].eta)
         assert built == []
-
-    def test_held_spectra_of_another_kernel_rejected(self):
-        p, g, st = self.problem()
-        other_p = PhysParams(A=0.5, sigma=2.0, mu=0.2, Omega=0.1)
-        other_g = build_grid(20.0, 256)
-        for kernel in (SpectralKernel(other_p, g), SpectralKernel(p, other_g)):
-            sp = kernel.forward(st.u, st.eta)
-            with pytest.raises(ValueError, match="other params or another grid"):
-                eval_f(st, p, g, sp)
 
 
 class TestScipyFftBits:
@@ -463,7 +460,7 @@ class TestScipyFftBits:
             rec.final_state.u.tobytes(),
             rec.final_state.eta.tobytes(),
             repr(build_certificate(st, p, g)),
-            eval_f(st, p, g).tobytes(),
+            forcing(st, p, g).tobytes(),
         )
 
     @pytest.mark.parametrize("problem", ["n256", "criterion10_n4096"])
@@ -537,7 +534,7 @@ class TestRiccatiIdentity:
         i = int(np.argmax(ux))
         td = rhs(st, p, g)
         lhs = deriv(td.du_dt, g)[i] + (p.sigma * st.u[i] - p.mu) * deriv(ux, g)[i]
-        f = eval_f(st, p, g)[i]
+        f = forcing(st, p, g)[i]
         gam = st.rho[i]
         pred = -0.5 * p.sigma * ux[i] ** 2 + 0.5 * p.coriolis_margin * gam**2 + f
         assert lhs == pytest.approx(pred, rel=1e-9)
@@ -554,8 +551,9 @@ class TestStep:
             eta_terms=(ProfileTerm("eta_bump", 0.1, 2.0, 0.0),),
         )
         st = synthesize(spec, g)
-        _, e1 = step(st, 0.02, p, g)
-        _, e2 = step(st, 0.01, p, g)
+        kernel = SpectralKernel(p, g)
+        _, e1 = step(st, 0.02, kernel)
+        _, e2 = step(st, 0.01, kernel)
         assert 20.0 <= e1 / e2 <= 45.0
 
     def test_rejects_nonpositive_dt(self):
@@ -563,13 +561,13 @@ class TestStep:
         g = build_grid(10.0, 256)
         st = FieldState(0.0, np.zeros(g.n), np.zeros(g.n))
         with pytest.raises(ValueError):
-            step(st, 0.0, p, g)
+            step(st, 0.0, SpectralKernel(p, g))
 
     def test_time_advances(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
         g = build_grid(10.0, 256)
         st = FieldState(1.5, np.zeros(g.n), np.zeros(g.n))
-        new, err = step(st, 0.25, p, g)
+        new, err = step(st, 0.25, SpectralKernel(p, g))
         assert new.t == pytest.approx(1.75)
         assert err == 0.0
 
@@ -666,7 +664,7 @@ class TestRunTermination:
         # it with a step-size factor of 0.9, which leaves the next dt of
         # 9.45e-7 below a floor of 1e-6: the run ends there, not on a rejection
         p, g, st = TestTransformCounts.problem()
-        _, err = step(st, 1.05e-6, p, g)
+        _, err = step(st, 1.05e-6, SpectralKernel(p, g))
         settings = RunSettings(t_end=1.0, tol=err, dt_floor=1e-6, dt_init=1.05e-6)
         rec = run(st, p, g, settings)
         assert rec.termination.event == "step_floor"

@@ -22,6 +22,8 @@ from r2ch.crosscheck import (
 )
 from r2ch.spectral import SpectralKernel
 
+from conftest import forcing
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -162,7 +164,7 @@ class TestForcing:
             PhysParams(A=-1.0, sigma=-2.0, mu=0.0, Omega=0.3),
         ):
             st = FieldState(0.0, np.zeros(grid.n), np.zeros(grid.n))
-            f = eval_f(st, p, grid)
+            f = forcing(st, p, grid)
             np.testing.assert_allclose(f, -0.5 * p.coriolis_margin, atol=1e-12)
 
     def test_forcing_chain_inequalities(self, grid):
@@ -192,7 +194,7 @@ class TestForcing:
         ) + 1e-9
         # the assembled bound
         C = constant_C(E0, rho_sup, p)
-        f = eval_f(st, p, grid)
+        f = forcing(st, p, grid)
         assert np.max(np.abs(f)) <= 0.5 * C**2
 
     def test_forcing_even_symmetry(self, grid):
@@ -200,7 +202,7 @@ class TestForcing:
         p = PhysParams(A=0.2, sigma=2.0, mu=0.1, Omega=0.05)
         u = 0.2 * np.exp(-(grid.x**2))
         eta = 0.05 * np.exp(-((grid.x / 1.5) ** 2))
-        f = eval_f(FieldState(0.0, u, eta), p, grid)
+        f = forcing(FieldState(0.0, u, eta), p, grid)
         # grid point j and n-j are mirror images (x=0 at index n//2)
         mirrored = np.roll(f[::-1], 1)
         np.testing.assert_allclose(f, mirrored, atol=1e-10)
@@ -256,11 +258,15 @@ class TestSpectralForcing:
     def test_matches_physical_composition(self, case):
         p, g, st = self.state(case)
         expect = _f_composed(st, p, g)
-        got = eval_f(st, p, g)
+        got = forcing(st, p, g)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_held_spectra_same_bits(self):
+        # held transforms give the same forcing after their kernel has
+        # transformed another state and summed its forcing (its rows reused)
         p, g, st = self.state("steep")
-        np.testing.assert_array_equal(
-            eval_f(st, p, g, SpectralKernel(p, g).forward(st.u, st.eta)), eval_f(st, p, g)
-        )
+        kernel = SpectralKernel(p, g)
+        sp = kernel.forward(st.u, st.eta)
+        want = eval_f(sp)
+        eval_f(kernel.forward(2.0 * st.u, 0.5 * st.eta))
+        np.testing.assert_array_equal(eval_f(sp), want)
