@@ -77,14 +77,10 @@ class Thm41Certificate:
 
 
 def thm41_certificate(
-    u0: np.ndarray,
-    grid: Grid,
-    C: float,
-    params: PhysParams,
-    u0x: np.ndarray | None = None,
+    grid: Grid, C: float, params: PhysParams, *, u0x: np.ndarray
 ) -> Thm41Certificate | None:
-    """Steep-positive-slope blow-up certificate for sigma < 0; ``u0x`` is the
-    slope of ``u0`` when the caller holds it.
+    """Steep-positive-slope blow-up certificate for sigma < 0 from the
+    initial slope ``u0x``.
 
     Returns None when no grid point witnesses u0'(x0) > C/sqrt(-sigma).
 
@@ -117,8 +113,6 @@ def thm41_certificate(
     if params.sigma >= 0:
         raise ValueError("this certificate requires sigma < 0")
     sigma = params.sigma
-    if u0x is None:
-        u0x = deriv(u0, grid)
     x0, slope = refined_extremum(u0x, grid.x, "max")
     threshold = C / math.sqrt(-sigma)
     if not slope > threshold:
@@ -182,22 +176,15 @@ class Thm42Certificate:
 
 
 def thm42_certificate(
-    u0: np.ndarray,
-    grid: Grid,
-    N: float,
-    E0: float,
-    M_assumed: float = math.nan,
-    u0x: np.ndarray | None = None,
+    grid: Grid, N: float, E0: float, M_assumed: float = math.nan, *, u0x: np.ndarray
 ) -> Thm42Certificate:
-    """Cubic-moment blow-up condition: m0 = integral of u0_x^3 must lie at or
-    below -sqrt(2 E0 N); the lifespan bound needs strict inequality.  ``u0x``
-    is the slope of ``u0`` when the caller holds it."""
+    """Cubic-moment blow-up condition on the initial slope ``u0x``: m0 =
+    integral of u0_x^3 must lie at or below -sqrt(2 E0 N); the lifespan bound
+    needs strict inequality."""
     if not E0 > 0:
         raise ValueError("E0 must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if u0x is None:
-        u0x = deriv(u0, grid)
     m0 = float(grid.dx * np.sum(u0x * u0x * u0x))
     s = math.sqrt(2.0 * E0 * N)
     condition = m0 <= -s
@@ -267,13 +254,11 @@ def build_certificate(
         if params.sigma > 0
         else None
     )
-    thm41 = (
-        thm41_certificate(state0.u, grid, C, params, u0x) if params.sigma < 0 else None
-    )
+    thm41 = thm41_certificate(grid, C, params, u0x=u0x) if params.sigma < 0 else None
     thm42 = None
     if params.sigma == 1.0 and params.mu == 0.0 and M_assumed is not None and E0 > 0:
         N = _finite("N", lambda: thm42_constant_N(E0, M_assumed, params))
-        thm42 = thm42_certificate(state0.u, grid, N, E0, M_assumed, u0x)
+        thm42 = thm42_certificate(grid, N, E0, M_assumed, u0x=u0x)
     return Certificate(
         E0=E0,
         rho0_sup=rho0_sup,

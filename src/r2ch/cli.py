@@ -410,6 +410,9 @@ def execute_run(cfg: RunConfig, out_dir: str) -> tuple[int, dict, dict]:
     rec = run_sim(state0, cfg.params, cfg.grid, cfg.settings, certificate.slope_floor)
 
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), rec.rows, certificate)
+    rate_path = os.path.join(out_dir, "rate.json")
+    if os.path.isfile(rate_path):  # an earlier r2ch rate's fit would outlive this run
+        os.remove(rate_path)
     snap_dir = os.path.join(out_dir, "snapshots")
     if os.path.isdir(snap_dir):  # an earlier run's snapshots would outlive it
         for name in os.listdir(snap_dir):

@@ -25,7 +25,7 @@ from . import certificates as cert_mod, evolution
 from .model import (
     FieldState, Grid, InitialDataSpec, PhysParams, ProfileTerm, build_grid, synthesize,
 )
-from .spectral import _check
+from .spectral import _check, deriv
 
 
 def half_c_squared_terms(
@@ -319,7 +319,7 @@ def selftest_checks(mutate_c: float = 0.0):
             worst_rel = max(worst_rel, abs(L1 - L2) / max(abs(L2), 1e-30))
         if sigma < 0:
             u0 = slope_profile(rng_u0.uniform(1.5, 3.0) * C1 / math.sqrt(-sigma))
-            t41 = cert_mod.thm41_certificate(u0, grid_u0, C1, p)
+            t41 = cert_mod.thm41_certificate(grid_u0, C1, p, u0x=deriv(u0, grid_u0))
             if t41 is not None:
                 slope = t41.u0x_at_witness
                 T1 = t1_bound_alt(slope, C1, sigma)
@@ -333,7 +333,7 @@ def selftest_checks(mutate_c: float = 0.0):
             N2 = thm42_N_alt(E0, M_assumed, A, Om)
             worst_rel = max(worst_rel, abs(N1 - N2) / N2)
             u0 = slope_profile(-rng_u0.uniform(2, 6))
-            t42 = cert_mod.thm42_certificate(u0, grid_u0, N1, E0)
+            t42 = cert_mod.thm42_certificate(grid_u0, N1, E0, u0x=deriv(u0, grid_u0))
             if t42.T_bound is not None:
                 T2 = thm42_T_alt(t42.m0, E0, N1)
                 worst_rel = max(worst_rel, abs(t42.T_bound - T2) / T2)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import FieldState, Grid, PhysParams, boundary_leak
-from .spectral import SpectralKernel, StateSpectra, deriv, eval_f
+from .spectral import SpectralKernel, StateSpectra, eval_f
+from .spectral import deriv  # noqa: F401  (the benchmark wraps evolution.deriv)
 
 # Cash-Karp embedded pair: 6 stages, 5th and 4th order weights.
 _CK_A = [
@@ -51,9 +52,10 @@ class NonFiniteState(RuntimeError):
     """A non-finite value appeared inside the integrator."""
 
 
-def _rhs_arrays(spectra: StateSpectra, out: np.ndarray | None = None) -> np.ndarray:
+def _rhs_arrays(spectra: StateSpectra, out: np.ndarray) -> np.ndarray:
     """Tendency spectrum ``[du_hat, deta_hat]`` of the state whose transforms
-    are ``spectra``, summed from the weight rows of their kernel (no FFT):
+    are ``spectra``, summed into the ``(2, n/2+1)`` array ``out`` from the
+    weight rows of their kernel (no FFT):
 
     du/dt = -(sigma u - mu) u_x
             - dx p * [ (mu-A) u + (3-sigma)/2 u^2 + sigma/2 u_x^2
@@ -66,8 +68,6 @@ def _rhs_arrays(spectra: StateSpectra, out: np.ndarray | None = None) -> np.ndar
     """
     uh, etah = spectra.spectrum
     u2h, r2uxh, uetah, bh = spectra.products
-    if out is None:
-        out = np.empty((2, uh.size), dtype=complex)
     du, deta = out
     kernel = spectra.kernel
     term, grid = kernel.scratch, kernel.grid
@@ -106,12 +106,14 @@ def step(
     (u, eta).  Each stage makes one irfft of ``[uh, etah, ik uh]`` and one
     rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
     (u5-u4)h, (eta5-eta4)h]`` ends the step: 11 FFT calls.  The new state
-    carries its spectrum and slope to the next step.
+    holds its spectrum and slope for the next step, so its samples are
+    read-only; ``dataclasses.replace`` makes a state that holds none.
 
     ``k1`` is the state's tendency spectrum when the caller already holds
-    it; it does not depend on dt, so a retried step reuses it and makes 5 new
-    RHS evaluations.  ``kernel`` carries the params and grid; it serves no
-    other computation meanwhile.
+    it (else the step forms it in the kernel's first stage row); it does not
+    depend on dt, so a retried step reuses it and makes 5 new RHS
+    evaluations.  ``kernel`` carries the params and grid; it serves no other
+    computation meanwhile.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -123,7 +125,7 @@ def step(
         if k1 is None:
             held = kernel.transform(spectrum, state.u, state.eta, ux)
     if k1 is None:
-        k1 = _rhs_arrays(held)
+        k1 = _rhs_arrays(held, out=kernel.stages[0])
 
     stages, rows, grid = kernel.stages, kernel.rows, kernel.grid
     flat = stages.reshape(6, -1).view(np.float64)
@@ -147,11 +149,10 @@ def step(
 
     diff = max(np.max(np.abs(out[3])), np.max(np.abs(out[4])))
     fields = out[:2].copy()
+    fields.flags.writeable = False
     scale = ERR_ABS_FLOOR + np.max(np.abs(fields))
-    new = FieldState(
-        t=state.t + dt, u=fields[0], eta=fields[1], _transforms=(new_spectrum, out[2].copy())
-    )
-    return new, float(diff / scale)
+    new = FieldState(t=state.t + dt, u=fields[0], eta=fields[1])
+    return _hold(new, (new_spectrum, out[2].copy())), float(diff / scale)
 
 
 @dataclass(frozen=True)
@@ -280,20 +281,11 @@ def _interp_at(y: np.ndarray, x: np.ndarray, xq: float) -> float:
     return float(y[i] + 0.5 * s * (y[ip] - y[im]) + 0.5 * s * s * (y[ip] - 2 * y[i] + y[im]))
 
 
-def energy(
-    state: FieldState, params: PhysParams, grid: Grid, ux: np.ndarray | None = None
-) -> float:
-    """Conserved energy: integral of u^2 + u_x^2 + (1-2 Omega A)(rho-1)^2;
-    ``ux`` is the state's slope when the caller holds it."""
-    if ux is None:
-        ux = deriv(state.u, grid)
-    return _energy(state, params, grid, ux * ux)
-
-
-def _energy(state: FieldState, params: PhysParams, grid: Grid, ux2: np.ndarray) -> float:
-    """``energy`` from the squared slope ``ux2``."""
+def energy(state: FieldState, params: PhysParams, grid: Grid, ux: np.ndarray) -> float:
+    """Conserved energy of the state whose slope is ``ux``: integral of
+    u^2 + u_x^2 + (1-2 Omega A)(rho-1)^2."""
     u, eta = state.u, state.eta
-    return float(grid.dx * np.sum(u * u + ux2 + params.coriolis_margin * (eta * eta)))
+    return float(grid.dx * np.sum(u * u + ux * ux + params.coriolis_margin * (eta * eta)))
 
 
 def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> DiagnosticRow:
@@ -305,19 +297,18 @@ def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> 
     x_sup, sup_ux = refined_extremum(ux, grid.x, "max")
     x_inf, inf_ux = refined_extremum(ux, grid.x, "min")
     fvals = eval_f(spectra)
-    ux2 = ux * ux
     rho = state.rho
     return DiagnosticRow(
         t=state.t,
         dt=dt,
-        E=_energy(state, params, grid, ux2),
+        E=energy(state, params, grid, ux),
         sup_ux=float(sup_ux),
         inf_ux=float(inf_ux),
         x_at_sup_ux=float(x_sup),
         x_at_inf_ux=float(x_inf),
         sup_abs_eta=float(np.max(np.abs(state.eta))),
         min_rho=float(np.min(rho)),
-        m3=float(grid.dx * np.sum(ux2 * ux)),
+        m3=float(grid.dx * np.sum(ux * ux * ux)),
         f_sup_abs=float(np.max(np.abs(fvals))),
         boundary_leak=boundary_leak(state, grid),
         max_rho=float(np.max(rho)),
@@ -328,10 +319,10 @@ def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> 
     )
 
 
-def _release(state: FieldState) -> FieldState:
-    """Drop the stepper's transforms from a state that is no longer stepped
-    from; a stored state keeps only its samples."""
-    object.__setattr__(state, "_transforms", None)
+def _hold(state: FieldState, transforms: tuple | None = None) -> FieldState:
+    """``state`` holding the stepper's ``(spectrum, u_x)`` of its samples, or
+    none: a state no longer stepped from keeps only its samples."""
+    object.__setattr__(state, "_transforms", transforms)
     return state
 
 
@@ -364,7 +355,7 @@ def run(
     rec = RunRecord(params=params, grid=grid, settings=settings)
     kernel = SpectralKernel(params, grid)
     spectra = kernel.forward(initial.u, initial.eta)
-    state = replace(initial, _transforms=(spectra.spectrum, spectra.ux))
+    state = _hold(replace(initial), (spectra.spectrum, spectra.ux))
     dt = used_dt = min(settings.dt_init, settings.dt_max, settings.t_end)
     k_cut, sigma, mu = grid.k[grid.dealias_cut - 1], params.sigma, params.mu
 
@@ -380,7 +371,7 @@ def run(
             if rec.snapshots and rec.snapshots[-1].t < state.t:
                 rec.snapshots.append(state)
         rec.termination = Termination(event, state.t, detail)
-        rec.final_state = _release(state)
+        rec.final_state = _hold(state)
         return rec
 
     def floor_detail(what: str, err: float) -> str:
@@ -442,7 +433,7 @@ def run(
             dt = max(settings.dt_floor, 0.9 * dt * factor)
             if dt <= settings.dt_floor:
                 return finish("step_floor", floor_detail("rejected", err))
-        _release(state)
+        _hold(state)
         state = new_state
         rec.steps_accepted += 1
         rec.steps_capped += used_dt == cap

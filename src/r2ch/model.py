@@ -108,9 +108,9 @@ class FieldState:
     u: np.ndarray
     eta: np.ndarray
     # (spectrum, u_x) of a state made by ``evolution.step``: the stepper's
-    # own transforms, handed to the next step
+    # own transforms, handed to the next step and never copied by replace
     _transforms: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
+        default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ from r2ch import (
     build_certificate,
     build_grid,
     constant_C,
+    deriv,
     detect_blowup,
     estimate_T,
     gamma_decay_error,
@@ -356,7 +357,7 @@ def test_criterion_13_double_entry(accept):
                 decay_tol=1.0,
             )
             u0 = synthesize(spec, grid).u
-            t41 = thm41_certificate(u0, grid, C, p)
+            t41 = thm41_certificate(grid, C, p, u0x=deriv(u0, grid))
             if t41 is not None:
                 s = t41.u0x_at_witness
                 note(t41.T1_bound, crosscheck.t1_bound_alt(s, C, sigma))
@@ -373,7 +374,7 @@ def test_criterion_13_double_entry(accept):
             decay_tol=1.0,
         )
         u0 = synthesize(spec, grid).u
-        t42 = thm42_certificate(u0, grid, N, E0)
+        t42 = thm42_certificate(grid, N, E0, u0x=deriv(u0, grid))
         if t42.T_bound is not None:
             note(t42.T_bound, crosscheck.thm42_T_alt(t42.m0, E0, N))
 

@@ -108,11 +108,11 @@ class TestThm41:
 
     def test_below_threshold_returns_none(self):
         st0, g, C, p = self.make(0.5)
-        assert thm41_certificate(st0.u, g, C, p) is None
+        assert thm41_certificate(g, C, p, u0x=deriv(st0.u, g)) is None
 
     def test_above_threshold_certifies(self):
         st0, g, C, p = self.make(9.0)
-        cert = thm41_certificate(st0.u, g, C, p)
+        cert = thm41_certificate(g, C, p, u0x=deriv(st0.u, g))
         assert cert is not None
         assert cert.u0x_at_witness == pytest.approx(9.0, rel=1e-6)
         assert cert.witness_x0 == pytest.approx(0.0, abs=1e-6)
@@ -121,7 +121,7 @@ class TestThm41:
 
     def test_bounds_match_alt_transcription(self):
         st0, g, C, p = self.make(9.0)
-        cert = thm41_certificate(st0.u, g, C, p)
+        cert = thm41_certificate(g, C, p, u0x=deriv(st0.u, g))
         s = cert.u0x_at_witness
         assert cert.T1_bound == pytest.approx(
             crosscheck.t1_bound_alt(s, C, p.sigma), rel=1e-12
@@ -130,11 +130,18 @@ class TestThm41:
             crosscheck.t1_bound_stated_alt(s, C, p.sigma), rel=1e-12
         )
 
+    def test_old_positional_form_rejected(self):
+        # the slope is keyword-only: samples passed where the old signature
+        # took them are refused, not certified as if they were the slope
+        st0, g, C, p = self.make(9.0)
+        with pytest.raises(TypeError):
+            thm41_certificate(st0.u, g, C, p)
+
     def test_requires_negative_sigma(self):
         st0, g, C, _ = self.make(9.0)
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
         with pytest.raises(ValueError):
-            thm41_certificate(st0.u, g, C, p)
+            thm41_certificate(g, C, p, u0x=deriv(st0.u, g))
 
 
 class TestRiccatiFloor:
@@ -198,7 +205,7 @@ class TestThm42:
     def test_certificate_rejects_bad_constants(self, E0, N, message):
         g = build_grid(5.0, 256)
         with pytest.raises(ValueError, match=message):
-            thm42_certificate(np.zeros(g.n), g, N, E0)
+            thm42_certificate(g, N, E0, u0x=np.zeros(g.n))
 
     @settings(max_examples=100)
     @given(
@@ -222,7 +229,7 @@ class TestThm42:
         )
         st0 = synthesize(spec, g)
         E0, N = 2.8, 23.0
-        cert = thm42_certificate(st0.u, g, N, E0)
+        cert = thm42_certificate(g, N, E0, u0x=deriv(st0.u, g))
         assert cert.condition_met
         assert cert.T_bound is not None and cert.T_bound > 0
         assert cert.T_bound == pytest.approx(
@@ -235,10 +242,17 @@ class TestThm42:
             u_terms=(ProfileTerm("slope_bump", -0.5, 0.02, 0.0),)
         )
         st0 = synthesize(spec, g)
-        cert = thm42_certificate(st0.u, g, 10.0, 1.0)
+        cert = thm42_certificate(g, 10.0, 1.0, u0x=deriv(st0.u, g))
         assert not cert.condition_met
         assert cert.T_bound is None
         assert math.isnan(crosscheck.thm42_T_alt(cert.m0, 1.0, 10.0))
+
+    def test_old_positional_form_rejected(self):
+        # as for thm41: the samples in the old first place are refused
+        g = build_grid(5.0, 1024)
+        spec = InitialDataSpec(u_terms=(ProfileTerm("slope_bump", -12.0, 0.02, 0.0),))
+        with pytest.raises(TypeError):
+            thm42_certificate(synthesize(spec, g).u, g, 23.0, 2.8)
 
 
 class TestK2:
@@ -319,17 +333,17 @@ class TestBuildCertificate:
         cert = build_certificate(st0, p, g, M_assumed)
         assert calls == ["rfft", "irfft"]
         # the same bits as each quantity computed on its own
-        assert cert.E0 == energy(st0, p, g)
+        assert cert.E0 == energy(st0, p, g, deriv(st0.u, g))
         assert cert.u0x_sup_norm == refined_sup_abs(deriv(st0.u, g), g) * (
             1.0 + SUP_NORM_INFLATION
         )
         assert (cert.thm41 is not None) == (sigma < 0)
         if sigma < 0:
-            assert repr(cert.thm41) == repr(thm41_certificate(st0.u, g, cert.C, p))
+            assert repr(cert.thm41) == repr(thm41_certificate(g, cert.C, p, u0x=deriv(st0.u, g)))
         assert (cert.thm42 is not None) == (M_assumed is not None)
         if M_assumed is not None:
             N = thm42_constant_N(cert.E0, M_assumed, p)
-            want = thm42_certificate(st0.u, g, N, cert.E0, M_assumed)
+            want = thm42_certificate(g, N, cert.E0, M_assumed, u0x=deriv(st0.u, g))
             assert repr(cert.thm42) == repr(want)
 
 

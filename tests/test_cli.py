@@ -434,6 +434,22 @@ class TestCommands:
         assert self.tree(out) == self.tree(fresh)
         assert ("snapshots" in self.tree(fresh)) == (cadence > 0)
 
+    def test_rerun_drops_an_earlier_rate(self, tmp_path):
+        # a run that breaks and its r2ch rate, then a run that does not break
+        # into the same directory: the tree is the one a fresh run writes, so
+        # no rate.json holds a fit that the new verdict.json does not
+        text = STEEP.replace("16384", "1024").replace("= 50", "= 16")
+        text += "fit.m_lo = 10\nfit.m_hi = 15\n"
+        cfg = self.write_cfg(tmp_path, text)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert self.assert_rate_matches_verdict(cfg, out)["fit"] is not None
+        cfg = self.write_cfg(tmp_path, text.replace("t_end = 0.5", "t_end = 0.01"))
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(fresh)]) == 0
+        assert json.load(open(out / "verdict.json"))["fit"] is None
+        assert self.tree(out) == self.tree(fresh)
+
     def test_rerun_keeps_other_files(self, tmp_path):
         # only the earlier run's snap_*.bin files go
         cfg = self.write_cfg(tmp_path, BASIC)
@@ -865,8 +881,8 @@ class TestSelftest:
         # a perturbed theorem bound must trip the double-entry comparison
         original = getattr(cert_mod, name)
 
-        def mutated(*args):
-            out = original(*args)
+        def mutated(*args, **kwargs):
+            out = original(*args, **kwargs)
             if attr is None:
                 return out * (1.0 + 1e-6)
             if out is None or getattr(out, attr) is None:

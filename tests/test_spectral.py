@@ -177,7 +177,7 @@ class TestForcing:
         u = 0.3 * np.exp(-((grid.x / 2.0) ** 2))
         eta = 0.1 * np.exp(-(((grid.x - 1) / 2.0) ** 2))
         st = FieldState(0.0, u, eta)
-        E0 = energy(st, p, grid)
+        E0 = energy(st, p, grid, deriv(u, grid))
         rho_sup = float(np.max(st.rho))
         c = p.coriolis_margin
 
