@@ -2,7 +2,7 @@
 Runge-Kutta stepping, diagnostics recording and breaking-time extrapolation.
 
 The propagated solution is the 4th-order member of the Cash-Karp 5(4) pair,
-stepped in Fourier space with ``numpy.fft``'s batched real transforms (11
+stepped in Fourier space with ``numpy.fft``'s batched real transforms (12
 calls per step, see ``step``); the difference to the 5th-order member gives
 the per-step error estimate.  That member is unstable on the imaginary axis
 (|R(iy)| is 1.023 at y = 2), so ``run`` caps each step (see ``Z_STAR``).
@@ -11,11 +11,11 @@ the per-step error estimate.  That member is unstable on the imaginary axis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FieldState, Grid, PhysParams, boundary_leak
+from .model import FieldState, Grid, PhysParams, _read_only, boundary_leak
 from .spectral import SpectralKernel, StateSpectra, eval_f
 from .spectral import deriv  # noqa: F401  (the benchmark wraps evolution.deriv)
 
@@ -95,37 +95,29 @@ def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
     return Tendency(du_dt=du, deta_dt=deta)
 
 
-def step(
-    state: FieldState, dt: float, kernel: SpectralKernel, k1: np.ndarray | None = None
-) -> tuple[FieldState, float]:
+def step(state: FieldState, dt: float, kernel: SpectralKernel) -> tuple[FieldState, float]:
     """One Cash-Karp step in Fourier space.  Returns the advanced (4th order)
     state and the error estimate: the 5th/4th order difference in a max norm
     weighted by the joint (u, eta) magnitude with absolute floor 1e-10.
 
     The state and the stage tendencies are ``(2, n/2+1)`` spectra of
-    (u, eta).  Each stage makes one irfft of ``[uh, etah, ik uh]`` and one
-    rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
-    (u5-u4)h, (eta5-eta4)h]`` ends the step: 11 FFT calls.  The new state
-    holds its spectrum and slope for the next step, so its samples are
-    read-only; ``dataclasses.replace`` makes a state that holds none.
-
-    ``k1`` is the state's tendency spectrum when the caller already holds
-    it (else the step forms it in the kernel's first stage row); it does not
-    depend on dt, so a retried step reuses it and makes 5 new RHS
-    evaluations.  ``kernel`` carries the params and grid; it serves no other
-    computation meanwhile.
+    (u, eta).  Every attempt forms k1 from the state's held transforms (one
+    rfft of their products if another kernel made them, ``kernel.forward`` if
+    it holds none).  Each stage makes one irfft of ``[uh, etah, ik uh]`` and
+    one rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
+    (u5-u4)h, (eta5-eta4)h]`` and one rfft of the new state's products end the
+    step: 12 FFT calls from a held state.  The new state holds its
+    ``StateSpectra``, so its samples are read-only; ``dataclasses.replace``
+    makes a state that holds none.  ``kernel`` carries the params and grid;
+    it serves no other computation meanwhile.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if state._transforms is None:
+    held = state._transforms
+    if held is None:
         held = kernel.forward(state.u, state.eta)
-        spectrum = held.spectrum
-    else:
-        spectrum, ux = state._transforms
-        if k1 is None:
-            held = kernel.transform(spectrum, state.u, state.eta, ux)
-    if k1 is None:
-        k1 = _rhs_arrays(held, out=kernel.stages[0])
+    elif held.kernel is not kernel:
+        held = kernel.transform(held.spectrum, state.u, state.eta, held.ux)
 
     stages, rows, grid = kernel.stages, kernel.rows, kernel.grid
     flat = stages.reshape(6, -1).view(np.float64)
@@ -133,14 +125,14 @@ def step(
     def combine(weights, out):
         np.dot(dt * weights, flat[: weights.size], out=out.reshape(-1).view(np.float64))
 
-    stages[0] = k1
+    _rhs_arrays(held, out=stages[0])
     for i in range(1, 6):
         combine(_CK_A[i], rows[:2])
-        rows[:2] += spectrum
+        rows[:2] += held.spectrum
         _rhs_arrays(kernel.inverse(rows), out=stages[i])
-    end = np.empty((5, spectrum.shape[1]), dtype=complex)
+    end = np.empty((5, grid.k.size), dtype=complex)
     combine(_CK_B4, end[:2])
-    end[:2] += spectrum
+    end[:2] += held.spectrum
     new_spectrum = end[:2].copy()
     np.multiply(grid.ik, end[0], out=end[2])
     combine(_CK_E, end[3:])
@@ -148,11 +140,11 @@ def step(
     del end
 
     diff = max(np.max(np.abs(out[3])), np.max(np.abs(out[4])))
-    fields = out[:2].copy()
-    fields.flags.writeable = False
+    fields, ux = _read_only(out[:2].copy()), out[2].copy()
+    del out
     scale = ERR_ABS_FLOOR + np.max(np.abs(fields))
     new = FieldState(t=state.t + dt, u=fields[0], eta=fields[1])
-    return _hold(new, (new_spectrum, out[2].copy())), float(diff / scale)
+    return _hold(new, kernel.transform(new_spectrum, new.u, new.eta, ux)), float(diff / scale)
 
 
 @dataclass(frozen=True)
@@ -319,10 +311,10 @@ def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> 
     )
 
 
-def _hold(state: FieldState, transforms: tuple | None = None) -> FieldState:
-    """``state`` holding the stepper's ``(spectrum, u_x)`` of its samples, or
-    none: a state no longer stepped from keeps only its samples."""
-    object.__setattr__(state, "_transforms", transforms)
+def _hold(state: FieldState, spectra: StateSpectra | None = None) -> FieldState:
+    """``state`` holding the transforms ``spectra`` of its samples, or none:
+    a state no longer stepped from keeps only its samples."""
+    object.__setattr__(state, "_transforms", spectra)
     return state
 
 
@@ -341,10 +333,10 @@ def run(
     certificate input, ends it on under_resolved at a state whose grid max of
     u_x, and then its refined peak, lie more than 1e-6 max(1, floor) below.
 
-    The run builds its own ``SpectralKernel``.  Each accepted state, the
-    initial one included, carries its spectrum and slope through one sequence:
-    snapshot at cadence, one rfft of its products (its row and the k1 of every
-    step tried from it), blow-up test on its slope, row at stride.  A gap to
+    The run builds its own ``SpectralKernel`` and steps from a read-only copy
+    of the initial samples.  Each accepted state, the initial one included,
+    holds its transforms through one sequence: snapshot at cadence, blow-up
+    test on its slope, row at stride, the steps tried from it.  A gap to
     t_end at or below dt_floor joins the step before it.  Each step is at most
     Z_STAR / (k_cut s), k_cut the top retained wavenumber and s the larger of
     max|sigma u - mu| and max|u| (from ``u.max()``, ``u.min()``), and at least
@@ -354,13 +346,13 @@ def run(
     """
     rec = RunRecord(params=params, grid=grid, settings=settings)
     kernel = SpectralKernel(params, grid)
-    spectra = kernel.forward(initial.u, initial.eta)
-    state = _hold(replace(initial), (spectra.spectrum, spectra.ux))
+    u, eta = (_read_only(a.copy()) for a in (initial.u, initial.eta))
+    state = _hold(FieldState(initial.t, u, eta), kernel.forward(u, eta))
     dt = used_dt = min(settings.dt_init, settings.dt_max, settings.t_end)
     k_cut, sigma, mu = grid.k[grid.dealias_cut - 1], params.sigma, params.mu
 
     def record():
-        rec.rows.append(make_diagnostic_row(state, used_dt, spectra))
+        rec.rows.append(make_diagnostic_row(state, used_dt, state._transforms))
 
     def finish(event: str, detail: str = "") -> RunRecord:
         # a run that ends at t_end, at blow-up or under-resolved ends with its
@@ -386,17 +378,15 @@ def run(
             rec.snapshots.append(state)
         if rec.steps_accepted and state.t < settings.t_end and dt < settings.dt_floor:
             return finish("step_floor", floor_detail("accepted", err))
-        if spectra is None:
-            spectrum, ux = state._transforms
-            spectra = kernel.transform(spectrum, state.u, state.eta, ux)
-        sup_ux = float(spectra.ux.max())
-        max_abs_ux = max(sup_ux, -float(spectra.ux.min()))
+        ux = state._transforms.ux
+        sup_ux = float(ux.max())
+        max_abs_ux = max(sup_ux, -float(ux.min()))
         if max_abs_ux >= settings.blowup_threshold:
             return finish("blowup_detected")
         floor = slope_floor(state.t) if slope_floor else -math.inf
         bound = min(floor - 1e-6, floor * (1 - 1e-6))  # an infinite floor stays inf
         # the grid max misses a peak between nodes, so the refined peak decides
-        sup = float(refined_extremum(spectra.ux, grid.x, "max")[1]) if sup_ux < bound else sup_ux
+        sup = float(refined_extremum(ux, grid.x, "max")[1]) if sup_ux < bound else sup_ux
         if sup < bound:
             detail = f"sup u_x {sup!r} at t {float(state.t)!r} below its floor {floor!r}"
             return finish("under_resolved", detail)
@@ -405,14 +395,6 @@ def run(
         if max_abs_ux > settings.dense_diag_above or rec.steps_accepted % settings.diag_stride == 0:
             record()
 
-        # k1 fills the kernel's first stage row, which a retried step keeps;
-        # the state's products are not needed past it
-        try:
-            k1 = _rhs_arrays(spectra, out=kernel.stages[0])
-        except NonFiniteState as exc:
-            return finish("invariant_violation", str(exc))
-        spectra = None
-        rec.rhs_evals += 1
         u_max, u_min = float(state.u.max()), float(state.u.min())
         speed = max(abs(sigma * u_max - mu), abs(sigma * u_min - mu), u_max, -u_min)
         cap = max(Z_STAR / (k_cut * speed), 1.5 * settings.dt_floor) if speed else math.inf
@@ -421,15 +403,16 @@ def run(
             gap = settings.t_end - state.t
             dt = gap if gap - dt <= settings.dt_floor else dt
             try:
-                new_state, err = step(state, dt, kernel, k1=k1)
+                new_state, err = step(state, dt, kernel)
             except NonFiniteState as exc:
                 return finish("invariant_violation", str(exc))
-            rec.rhs_evals += 5
+            rec.rhs_evals += 6
             used_dt = dt
             factor = (settings.tol / max(err, 1e-300)) ** 0.2
             if not err > settings.tol:
                 break
             rec.steps_rejected += 1
+            del new_state  # a rejected state's transforms live no longer than its step
             dt = max(settings.dt_floor, 0.9 * dt * factor)
             if dt <= settings.dt_floor:
                 return finish("step_floor", floor_detail("rejected", err))

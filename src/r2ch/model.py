@@ -107,9 +107,9 @@ class FieldState:
     t: float
     u: np.ndarray
     eta: np.ndarray
-    # (spectrum, u_x) of a state made by ``evolution.step``: the stepper's
-    # own transforms, handed to the next step and never copied by replace
-    _transforms: tuple[np.ndarray, np.ndarray] | None = field(
+    # the ``spectral.StateSpectra`` of a state that ``evolution.step`` or ``run``
+    # made: its transforms, handed to the next step and never copied by replace
+    _transforms: "StateSpectra | None" = field(
         default=None, init=False, compare=False, repr=False
     )
 

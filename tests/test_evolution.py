@@ -322,9 +322,8 @@ class TestFourierStep:
 
 
 class TestTransformCounts:
-    """FFT calls per stage evaluation, step end, accepted state and
-    diagnostic row, and the reuse of k1 across a retried step, counted at
-    the numpy.fft entry points."""
+    """FFT calls per stage evaluation, step end, attempted step and
+    diagnostic row, counted at the numpy.fft entry points."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -362,17 +361,18 @@ class TestTransformCounts:
         assert counts["fft"] == 7
         make_diagnostic_row(st, 0.01, sp)
         assert counts["fft"] == 9
-        k1 = evolution._rhs_arrays(sp, np.empty((2, g.k.size), complex))
+        evolution._rhs_arrays(sp, np.empty((2, g.k.size), complex))
         assert counts["fft"] == 9
         rows = np.empty((3, g.k.size), dtype=complex)
         rows[:2] = sp.spectrum
         evolution._rhs_arrays(kernel.inverse(rows), np.empty((2, g.k.size), complex))
         assert counts["fft"] == 11
-        # a step from a state the stepper made: 5 stages and the step end
-        new, _ = step(st, 0.01, kernel, k1=k1)
+        # a step from a state the stepper made: 5 stages, the step end and
+        # the new state's products
+        new, _ = step(st, 0.01, kernel)
         counts["fft"] = 0
-        step(new, 0.01, kernel, k1=k1)
-        assert counts["fft"] == 11
+        step(new, 0.01, kernel)
+        assert counts["fft"] == 12
 
     def test_run_with_rejected_step(self, counts):
         p, g, st = self.problem()
@@ -387,11 +387,11 @@ class TestTransformCounts:
         accepted = rows - 1  # a row at t=0 and at every accepted step
         rejected = counts["step"] - accepted
         assert rejected >= 1
-        # k1 once per state stepped from; a retried step makes 5 new evaluations
-        assert counts["rhs"] == 5 * counts["step"] + accepted
-        # the initial state's transforms (3 calls), 11 per attempted step,
-        # 1 per accepted state (its products) and 2 per row
-        assert counts["fft"] == 3 + 11 * counts["step"] + accepted + 2 * rows
+        # k1 and 5 stages per attempted step, a retried one included
+        assert counts["rhs"] == 6 * counts["step"]
+        # the initial state's transforms (3 calls), 12 per attempted step
+        # (its new state's products included) and 2 per row
+        assert counts["fft"] == 3 + 12 * counts["step"] + 2 * rows
         assert rec.steps_accepted == accepted
         assert rec.steps_rejected == rejected
         assert rec.rhs_evals == counts["rhs"]
@@ -595,6 +595,54 @@ class TestStep:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
+    def test_held_transforms_own_their_memory(self):
+        # a retried step reads them after every kernel buffer is rewritten
+        new, kernel = self.stepped()
+        held = new._transforms
+        assert held.kernel is kernel
+        buffers = (kernel.rows, kernel.stages, kernel.product_rows, kernel.scratch)
+        for a in (held.spectrum, held.u, held.eta, held.ux, held.products):
+            assert not any(np.shares_memory(a, b) for b in buffers)
+
+    @staticmethod
+    def assert_same_step(got, want):
+        (a, err_a), (b, err_b) = got, want
+        assert err_a == err_b and a.t == b.t
+        for x, y in ((a.u, b.u), (a.eta, b.eta), (a._transforms.products, b._transforms.products)):
+            np.testing.assert_array_equal(x, y)
+
+    def test_retried_step_bit_equal(self):
+        # every attempt forms k1 afresh, so an attempt at another dt between
+        # two at one dt changes nothing
+        new, kernel = self.stepped()
+        first = step(new, 0.02, kernel)
+        step(new, 0.05, kernel)
+        self.assert_same_step(step(new, 0.02, kernel), first)
+
+    def test_kernel_of_equal_params_bit_equal(self):
+        new, kernel = self.stepped()
+        other = SpectralKernel(kernel.params, kernel.grid)
+        got = step(new, 0.02, other)
+        assert got[0]._transforms.kernel is other
+        self.assert_same_step(got, step(new, 0.02, kernel))
+
+    def test_kernel_of_other_params_rebuilds_products(self):
+        # the held spectrum and slope serve any kernel on the grid; the
+        # products are formed anew from the other kernel's bracket
+        new, kernel = self.stepped()
+        q = SpectralKernel(PhysParams(A=0.5, sigma=-1.0, mu=0.2, Omega=0.2), kernel.grid)
+        got, _ = step(new, 0.02, q)
+        want, _ = step(replace(new), 0.02, q)
+        own, _ = step(new, 0.02, kernel)
+        assert np.max(np.abs(got.u - want.u)) <= 1e-15
+        assert np.max(np.abs(got.eta - want.eta)) <= 1e-15
+        assert np.max(np.abs(got.u - own.u)) > 1e-6
+
+    def test_no_k1_option(self):
+        new, kernel = self.stepped()
+        with pytest.raises(TypeError):
+            step(new, 0.01, kernel, k1=np.zeros((2, kernel.grid.k.size), complex))
+
 
 class TestEnergy:
     def test_analytic_initial_energy(self):
@@ -757,6 +805,21 @@ class TestRunTermination:
                 assert a.shape == (g.n,) and a.base is not None
                 assert a.base.shape == (2, g.n) and a.base.base is None
             assert s._transforms is None
+
+    def test_record_owns_the_initial_samples(self):
+        # the run steps from its own read-only copy, so an edit of the
+        # caller's arrays after the run leaves the record as it was
+        p, g, st = TestTransformCounts.problem()
+        u0, eta0 = st.u.copy(), st.eta.copy()
+        stepped = run(st, p, g, RunSettings(t_end=0.05, snapshot_cadence=1))
+        unstepped = run(st, p, g, RunSettings(t_end=0.05, blowup_threshold=1e-3))
+        assert stepped.steps_accepted >= 1 and unstepped.steps_accepted == 0
+        st.u[:] = 0.0
+        st.eta[:] = 0.0
+        for s in (stepped.snapshots[0], unstepped.final_state):
+            np.testing.assert_array_equal(s.u, u0)
+            np.testing.assert_array_equal(s.eta, eta0)
+            assert not (s.u.flags.writeable or s.eta.flags.writeable)
 
     def test_final_snapshot_present(self):
         p = PhysParams(A=0.0, sigma=1.0, mu=0.0, Omega=0.0)
