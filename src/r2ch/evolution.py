@@ -101,9 +101,9 @@ def step(state: FieldState, dt: float, kernel: SpectralKernel) -> tuple[FieldSta
     weighted by the joint (u, eta) magnitude with absolute floor 1e-10.
 
     The state and the stage tendencies are ``(2, n/2+1)`` spectra of
-    (u, eta).  Every attempt forms k1 from the state's held transforms (one
-    rfft of their products if another kernel made them, ``kernel.forward`` if
-    it holds none).  Each stage makes one irfft of ``[uh, etah, ik uh]`` and
+    (u, eta).  Every attempt forms k1 from the state's held transforms
+    (``kernel.forward`` if it holds none or another kernel made them).  Each
+    stage makes one irfft of ``[uh, etah, ik uh]`` and
     one rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
     (u5-u4)h, (eta5-eta4)h]`` and one rfft of the new state's products end the
     step: 12 FFT calls from a held state.  The new state holds its
@@ -114,10 +114,8 @@ def step(state: FieldState, dt: float, kernel: SpectralKernel) -> tuple[FieldSta
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     held = state._transforms
-    if held is None:
+    if held is None or held.kernel is not kernel:
         held = kernel.forward(state.u, state.eta)
-    elif held.kernel is not kernel:
-        held = kernel.transform(held.spectrum, state.u, state.eta, held.ux)
 
     stages, rows, grid = kernel.stages, kernel.rows, kernel.grid
     flat = stages.reshape(6, -1).view(np.float64)
