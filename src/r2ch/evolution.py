@@ -2,8 +2,8 @@
 Runge-Kutta stepping, diagnostics recording and breaking-time extrapolation.
 
 The propagated solution is the 4th-order member of the Cash-Karp 5(4) pair,
-stepped in Fourier space with ``numpy.fft``'s batched real transforms (12
-calls per step, see ``step``); the difference to the 5th-order member gives
+stepped in Fourier space with ``numpy.fft``'s batched real transforms (11
+calls per attempt, see ``step``); the difference to the 5th-order member gives
 the per-step error estimate.  That member is unstable on the imaginary axis
 (|R(iy)| is 1.023 at y = 2), so ``run`` caps each step (see ``Z_STAR``).
 """
@@ -88,10 +88,9 @@ def _rhs_arrays(spectra: StateSpectra, out: np.ndarray) -> np.ndarray:
 def rhs(state: FieldState, params: PhysParams, grid: Grid) -> Tendency:
     """The tendency in physical space: 4 FFT calls, 3 for the state's
     transforms and one irfft, from a kernel built for this one call."""
-    kernel = SpectralKernel(params, grid)
-    spectra = kernel.forward(state.u, state.eta)
-    # the tendency spectrum is formed in the kernel's stage rows
-    du, deta = np.fft.irfft(_rhs_arrays(spectra, out=kernel.rows[:2]), n=grid.n)
+    spectra = SpectralKernel(params, grid).forward(state.u, state.eta)
+    tendency = _rhs_arrays(spectra, out=np.empty((2, grid.k.size), dtype=complex))
+    du, deta = np.fft.irfft(tendency, n=grid.n)
     return Tendency(du_dt=du, deta_dt=deta)
 
 
@@ -103,13 +102,13 @@ def step(state: FieldState, dt: float, kernel: SpectralKernel) -> tuple[FieldSta
     The state and the stage tendencies are ``(2, n/2+1)`` spectra of
     (u, eta).  Every attempt forms k1 from the state's held transforms
     (``kernel.forward`` if it holds none or another kernel made them).  Each
-    stage makes one irfft of ``[uh, etah, ik uh]`` and
-    one rfft of the four products; one irfft of ``[u4h, eta4h, ik u4h,
-    (u5-u4)h, (eta5-eta4)h]`` and one rfft of the new state's products end the
-    step: 12 FFT calls from a held state.  The new state holds its
-    ``StateSpectra``, so its samples are read-only; ``dataclasses.replace``
-    makes a state that holds none.  ``kernel`` carries the params and grid;
-    it serves no other computation meanwhile.
+    stage makes one irfft of ``[uh, etah, ik uh]`` and one rfft of the four
+    products; one irfft of ``[u4h, eta4h, ik u4h, (u5-u4)h, (eta5-eta4)h]``
+    ends the step: 11 FFT calls, and 1 for the held products if unformed.
+    The new state holds its ``StateSpectra``, whose products its first
+    reader forms (none if rejected), so its samples are read-only;
+    ``dataclasses.replace`` makes a state that holds none.  ``kernel``
+    carries the params and grid; it serves no other computation meanwhile.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -142,7 +141,7 @@ def step(state: FieldState, dt: float, kernel: SpectralKernel) -> tuple[FieldSta
     del out
     scale = ERR_ABS_FLOOR + np.max(np.abs(fields))
     new = FieldState(t=state.t + dt, u=fields[0], eta=fields[1])
-    return _hold(new, kernel.transform(new_spectrum, new.u, new.eta, ux)), float(diff / scale)
+    return _hold(new, StateSpectra(kernel, new_spectrum, new.u, new.eta, ux)), float(diff / scale)
 
 
 @dataclass(frozen=True)
@@ -232,6 +231,7 @@ def _check_branch(branch: str) -> None:
         raise ValueError(f"branch must be 'sup' or 'inf', got {branch!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _refine_parabolic(xm, x0, xp, ym, y0, yp):
     """Vertex of the parabola through three points (uniform or not)."""
     denom = (xm - x0) * (xm - xp) * (x0 - xp)
@@ -280,7 +280,7 @@ def energy(state: FieldState, params: PhysParams, grid: Grid, ux: np.ndarray) ->
 
 def make_diagnostic_row(state: FieldState, dt: float, spectra: StateSpectra) -> DiagnosticRow:
     """The state's diagnostics from its transforms ``spectra``, whose kernel
-    gives the params and grid: two FFT calls, for the forcing.  The moments
+    gives the params and grid: FFT calls only for the forcing.  The moments
     are products of the slope, so no power runs per grid point."""
     params, grid = spectra.kernel.params, spectra.kernel.grid
     ux = spectra.ux

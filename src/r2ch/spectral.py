@@ -13,6 +13,7 @@ physical-space quadrature they are checked against live in ``crosscheck``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +38,17 @@ class StateSpectra:
     """One state's transforms, made by ``kernel``: ``spectrum`` holds the
     rffts of u and eta, ``u``, ``eta`` and ``ux`` its samples and slope, and
     ``products`` the dealiased rffts of u^2, rho^2 u_x, u eta and the bracket
-    B of ``SpectralKernel``."""
+    B of ``SpectralKernel``, which their first reader forms from the samples."""
 
     kernel: SpectralKernel
     spectrum: np.ndarray
     u: np.ndarray
     eta: np.ndarray
     ux: np.ndarray
-    products: np.ndarray
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        return self.kernel.products(self.u, self.eta, self.ux)
 
 
 class SpectralKernel:
@@ -70,7 +74,7 @@ class SpectralKernel:
     The constant (1-2 Omega A)/2 of the bracket is dropped: its image under
     dx p * is exactly zero.
 
-    The kernel owns the buffers its transforms and its stepper write into, so
+    The kernel owns the buffers its products and its stepper write into, so
     it serves one computation at a time; kernels on one grid share nothing
     else.  One set per kernel, not per call: fresh buffers per call make the
     C allocator trim and regrow the heap, about 480 page faults per call at
@@ -90,17 +94,17 @@ class SpectralKernel:
         self.w_etah = -c * ik_helm
         self.w_u2 = -0.5 * sigma * ik
         self.w_r2ux = Om / grid.helm
-        # a state's four products (rows 0-3) and two rows of terms; a spectral
-        # row of the tendency sum; the six Cash-Karp stage tendencies of a
-        # step; the rows [uh, etah, ik uh] of a stage's irfft
+        # one writer each: four products and two rows of terms (``products``);
+        # a row of the tendency sum (``_rhs_arrays``); the six stage tendencies
+        # and the rows [uh, etah, ik uh] of a stage's irfft (``step``, ``inverse``)
         self.product_rows = np.empty((6, grid.n))
         self.scratch = np.empty(ik.size, dtype=complex)
         self.stages = np.empty((6, 2, ik.size), dtype=complex)
         self.rows = np.empty((3, ik.size), dtype=complex)
 
-    def transform(self, spectrum, u, eta, ux) -> StateSpectra:
-        """The state's transforms from its spectrum, samples and slope: one
-        rfft, of the four products formed in ``product_rows``."""
+    def products(self, u, eta, ux) -> np.ndarray:
+        """The dealiased spectra of the four products of the state with
+        samples u, eta and slope ux, formed in ``product_rows``: one rfft."""
         rows = self.product_rows
         u2, r2ux, ueta, bracket, rho2, term = rows
         np.add(eta, 1.0, out=rho2)
@@ -119,28 +123,26 @@ class SpectralKernel:
             op(bracket, term, out=bracket)
         products = np.fft.rfft(rows[:4])
         products[:, self.grid.dealias_cut :] = 0.0
-        return StateSpectra(self, spectrum, u, eta, ux, products)
+        return products
 
     def inverse(self, rows: np.ndarray) -> StateSpectra:
         """The transforms of the state whose spectrum fills rows 0-1 of the
-        ``(3, n/2+1)`` array ``rows``: row 2 becomes ``ik uh``, one irfft gives
-        u, eta and u_x, and ``transform`` adds the products.  2 FFT calls."""
+        ``(3, n/2+1)`` array ``rows``: row 2 becomes ``ik uh`` and one irfft
+        gives u, eta and u_x.  1 FFT call, and 1 more for the products."""
         np.multiply(self.grid.ik, rows[0], out=rows[2])
         u, eta, ux = np.fft.irfft(rows, n=self.grid.n)
-        return self.transform(rows[:2], u, eta, ux)
+        return StateSpectra(self, rows[:2], u, eta, ux)
 
     def forward(self, u: np.ndarray, eta: np.ndarray) -> StateSpectra:
-        """The transforms of the state (u, eta): 3 FFT calls, an rfft of
-        ``[u, eta]``, an irfft for u_x and the rfft of the four products.
+        """The transforms of the state (u, eta): 2 FFT calls, an rfft of
+        ``[u, eta]`` and an irfft for u_x, and 1 more for the products.
 
         Each batched transform runs along the last axis and gives, row by
         row, the same bits as one call per field.
         """
-        fields = self.product_rows[4:]
-        fields[0], fields[1] = u, eta
-        spectrum = np.fft.rfft(fields)
-        ux = np.fft.irfft(np.multiply(spectrum[0], self.grid.ik, out=self.scratch), n=self.grid.n)
-        return self.transform(spectrum, u, eta, ux)
+        spectrum = np.fft.rfft(np.stack((u, eta)))
+        ux = np.fft.irfft(np.multiply(spectrum[0], self.grid.ik), n=self.grid.n)
+        return StateSpectra(self, spectrum, u, eta, ux)
 
 
 def eval_f(spectra: StateSpectra) -> np.ndarray:
@@ -152,10 +154,11 @@ def eval_f(spectra: StateSpectra) -> np.ndarray:
             + Omega dx(p * (rho^2 u_x)),
 
     with the second derivative of the kernel rewritten as dx p * dx u.
-    Quadratic and cubic products are dealiased.  The sum is taken in
-    spectral space from the state's transforms ``spectra``, whose kernel
-    gives the params and grid, with one rfft of the local part
-    L = (3-sigma)/2 u^2 - Omega rho^2 u and one irfft.  The inner bracket is
+    Quadratic and cubic products are dealiased.  The sum is taken in spectral
+    space from the state's transforms ``spectra``, whose kernel gives the
+    params and grid, with one rfft of the local part
+    L = (3-sigma)/2 u^2 - Omega rho^2 u, in rows of its own, and one irfft
+    (and the products' rfft if it reads them first).  The inner bracket is
     B + (1-2 Omega A) eta + (1-2 Omega A)/2, and the constant adds n/2 times
     (1-2 Omega A) at k = 0.
     """
@@ -165,7 +168,7 @@ def eval_f(spectra: StateSpectra) -> np.ndarray:
     u, eta, cut = spectra.u, spectra.eta, grid.dealias_cut
     uh, etah = spectra.spectrum
     _, r2uxh, _, bh = spectra.products
-    local, rho2u = spectra.kernel.product_rows[4:]
+    local, rho2u = np.empty((2, grid.n))
     np.add(eta, 1.0, out=rho2u)
     np.multiply(rho2u, rho2u, out=rho2u)
     rho2u *= u

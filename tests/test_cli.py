@@ -652,6 +652,31 @@ class TestCommands:
         assert cert["certificate"]["thm41"] is None
         assert cert["certificate"]["lemma31_ceiling"] > 0
 
+    def test_certify_huge_box_no_warning(self, tmp_path, capsys):
+        # on a box of half-length 1e200 the peak refinement of u0_x overflows
+        # its sums; the refinement keeps the grid node without a numpy warning
+        cfg = self.write_cfg(
+            tmp_path,
+            "params.A = 0.5\nparams.sigma = -1.0\ngrid.L = 1e200\ngrid.n = 16\n"
+            "init.u = gaussian_bump(a=1.0, w=1e199)\ninit.decay_tol = 10\n",
+        )
+        out = tmp_path / "c"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "" and caught == []
+        assert json.load(open(out / "certificate.json"))["certificate"] == {
+            "E0": 1.3598516506929745e199,
+            "rho0_sup": 1.000001,
+            "u0x_sup_norm": 7.091332588201763e-200,
+            "C": 9.126385571788247e99,
+            "lemma31_ceiling": None,
+            "thm41": None,
+            "thm42": None,
+            "K2": 4.164545680247235e199,
+            "rate_target": 2.0,
+        }
+
     def test_rate_from_existing_run(self, tmp_path):
         cfg = self.write_cfg(tmp_path, STEEP + "fit.m_lo = 15\n")
         out = tmp_path / "out"

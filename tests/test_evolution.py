@@ -358,7 +358,8 @@ class TestTransformCounts:
         assert counts["fft"] == 4
         kernel = SpectralKernel(p, g)
         sp = kernel.forward(st.u, st.eta)
-        assert counts["fft"] == 7
+        assert counts["fft"] == 6
+        # the row's forcing (2 calls) forms the state's products (1 call)
         make_diagnostic_row(st, 0.01, sp)
         assert counts["fft"] == 9
         evolution._rhs_arrays(sp, np.empty((2, g.k.size), complex))
@@ -367,8 +368,8 @@ class TestTransformCounts:
         rows[:2] = sp.spectrum
         evolution._rhs_arrays(kernel.inverse(rows), np.empty((2, g.k.size), complex))
         assert counts["fft"] == 11
-        # a step from a state the stepper made: 5 stages, the step end and
-        # the new state's products
+        # a step from a state the stepper made: its products, 5 stages and
+        # the step end
         new, _ = step(st, 0.01, kernel)
         counts["fft"] = 0
         step(new, 0.01, kernel)
@@ -389,15 +390,30 @@ class TestTransformCounts:
         assert rejected >= 1
         # k1 and 5 stages per attempted step, a retried one included
         assert counts["rhs"] == 6 * counts["step"]
-        # the initial state's transforms (3 calls), 12 per attempted step
-        # (its new state's products included) and 2 per row
-        assert counts["fft"] == 3 + 12 * counts["step"] + 2 * rows
+        # the initial state's transforms (3 calls), 11 per attempted step,
+        # the products of each accepted state and 2 per row
+        assert counts["fft"] == 3 + 11 * counts["step"] + accepted + 2 * rows
         assert rec.steps_accepted == accepted
         assert rec.steps_rejected == rejected
         assert rec.rhs_evals == counts["rhs"]
         used = [row.dt for row in rec.rows[1:]]
         assert rec.accepted_dt_min == min(used)
         assert rec.accepted_dt_max == max(used)
+
+    def test_products_formed_once(self, counts):
+        # a stepped state's first reader forms its products, and a row and a
+        # step from it share that one rfft; the step leaves its own new
+        # state's products unformed
+        new, kernel = TestStep.stepped()
+        held = new._transforms
+        counts["fft"] = 0
+        make_diagnostic_row(new, 0.01, held)
+        assert counts["fft"] == 1 + 2
+        later, _ = step(new, 0.01, kernel)
+        assert held.products is held.products
+        assert counts["fft"] == 3 + 11
+        assert later._transforms.products is later._transforms.products
+        assert counts["fft"] == 3 + 11 + 1
 
     def test_one_kernel_per_run(self, monkeypatch):
         p, g, st = self.problem()
@@ -596,13 +612,39 @@ class TestStep:
                 a[0] = 1.0
 
     def test_held_transforms_own_their_memory(self):
-        # a retried step reads them after every kernel buffer is rewritten
+        # a retried step reads them after every kernel buffer is rewritten;
+        # the products are the ones the first step from the state cached
         new, kernel = self.stepped()
         held = new._transforms
         assert held.kernel is kernel
+        step(new, 0.01, kernel)
+        assert "products" in vars(held)
         buffers = (kernel.rows, kernel.stages, kernel.product_rows, kernel.scratch)
         for a in (held.spectrum, held.u, held.eta, held.ux, held.products):
             assert not any(np.shares_memory(a, b) for b in buffers)
+
+    def test_read_order_bit_equal(self):
+        # products and forcing read in either order, with another state's
+        # transforms and step between the reads, give the bits of a kernel of
+        # their own
+        new, kernel = self.stepped()
+        other = FieldState(new.t, 2.0 * new.u, new.eta.copy())
+
+        def between():
+            eval_f(kernel.forward(other.u, other.eta))
+            step(other, 0.01, kernel)
+
+        a, b = (kernel.forward(new.u, new.eta) for _ in range(2))
+        a_products = a.products
+        between()
+        a_f = eval_f(a)
+        b_f = eval_f(b)
+        between()
+        ref = SpectralKernel(kernel.params, kernel.grid).forward(new.u, new.eta)
+        for products in (a_products, b.products):
+            np.testing.assert_array_equal(products, ref.products)
+        for f in (a_f, b_f):
+            np.testing.assert_array_equal(f, eval_f(ref))
 
     @staticmethod
     def assert_same_step(got, want):
